@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .exact import CoeffLike
 from .series import (
@@ -47,18 +50,31 @@ class TruncatedSeries:
         table = compute_coefficients(m)
         return cls.from_table(evaluate_table(table, Fraction(n_value)))
 
+    @cached_property
+    def even_floats(self) -> tuple[float, ...]:
+        """``a_0, a_2, a_4, ...`` each rounded once to a float."""
+        return tuple(float(c) for c in self.a_values[::2])
 
-def eval_series_float(s: TruncatedSeries, x: float) -> float:
+
+def eval_series_float(
+    s: TruncatedSeries, x: float | np.ndarray
+) -> float | np.ndarray:
     """Value of the truncated series at ``x`` in double precision.
 
     Horner evaluation over ``u = x**2`` using only the even coefficients
-    (odd ones are identically zero).
+    (odd ones are identically zero), which are converted from ``Fraction``
+    to float once per series.  ``x`` is a float or a float64 array; an
+    array is evaluated elementwise by the same multiplies and adds in the
+    same order (numpy fuses none of them), so each element equals the
+    scalar result bit for bit.  Overflow gives ``inf`` or ``nan`` silently,
+    as it does for Python floats.
     """
-    evens = [float(c) for c in s.a_values[::2]]
-    u = float(x) * float(x)
+    x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     acc = 0.0
-    for c in reversed(evens):
-        acc = acc * u + c
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = x * x
+        for c in reversed(s.even_floats):
+            acc = acc * u + c
     return acc
 
 

@@ -1,5 +1,6 @@
 """Command line interface: formats, determinism, exit codes."""
 
+import hashlib
 import math
 
 import pytest
@@ -142,6 +143,30 @@ class TestCompare:
         assert max(errs) < 1e-12
 
 
+class TestOutputBytes:
+    """Whole-file digests of the float CSV commands.
+
+    The digests are those of the row-at-a-time writer that preceded the
+    columnar one; the first two equal the benchmark's smoke-size hashes.
+    The ``1e-3`` grids are longer than one ``CHUNK_ROWS`` chunk.
+    """
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["integrate", "--n", "3", "--dx", "1e-2"],
+         "8fc9e770aab2e2e713d6b74e116f608f59956df9feb36d2bcd2951926ce7d819"),
+        (["compare", "--n", "3", "--m", "10", "--dx", "1e-2"],
+         "9ee1f5818bb42ca803e683a1ca95757ecdcc1833944285c733d104e1440e6dcd"),
+        (["integrate", "--n", "3", "--dx", "1e-3"],
+         "07b6d081a85ef1d7f1c14e1da5de932ddadf9a20608f20fae40981092f73ec3d"),
+        (["compare", "--n", "3", "--m", "10", "--dx", "1e-3"],
+         "400d978875c35ad216155469a3426df95b8a9e3f057048ac29989c6c33b80a2e"),
+    ])
+    def test_sha256(self, tmp_path, argv, digest):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(read_bytes(out)).hexdigest() == digest
+
+
 class TestBench:
     def test_rows(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -181,6 +206,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["coeffs", "--m", "-2", "--out", "unused.txt"])
         assert exc.value.code == cli.USAGE_ERROR
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--n", "nan", "--dx", "0.1"],
+        ["integrate", "--n", "-1", "--dx", "0.1"],
+        ["compare", "--n", "inf", "--m", "4", "--dx", "0.1"],
+        ["compare", "--n", "-1", "--m", "4", "--dx", "0.1"],
+    ])
+    def test_bad_index_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", "unused.csv"])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "argument --n" in err
+        assert "Traceback" not in err
 
     def test_nonpositive_dx_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,10 @@
 """Truncated series evaluation and the residual oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +69,27 @@ class TestFloatEvaluation:
             diff = abs(eval_series_float(s8, x) - eval_series_float(s10, x))
             bound = 1.01 * abs(float(s10.a_values[10])) * x**10 + 1e-15
             assert diff <= bound
+
+    @given(
+        st.sampled_from([0, 1, Fraction(3, 2), 3, 5]),
+        st.integers(0, 30),
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=16),
+    )
+    def test_array_matches_scalar_bitwise(self, n_value, m, xs):
+        s = TruncatedSeries.for_index(n_value, m)
+        # 1e20 overflows inside the Horner loop (from m = 16 at n = 3),
+        # 1e200 already in x*x.
+        xs = xs + [1e20, 1e200]
+        # A numpy RuntimeWarning (overflow, invalid) fails the test:
+        # overflow stays as silent for arrays as it is for Python floats.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = eval_series_float(s, np.array(xs))
+        assert values.dtype == np.float64 and values.shape == (len(xs),)
+        for x, value in zip(xs, values):
+            scalar = eval_series_float(s, x)
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == value.tobytes(), x
 
 
 class TestExactEvaluation:
