@@ -181,9 +181,10 @@ def _index(text: str) -> float:
 
 
 def _positive_float(text: str) -> float:
+    """Grid step or integration cap: finite and > 0."""
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be finite and > 0")
     return value
 
 

@@ -22,9 +22,9 @@ from .exact import CoeffLike
 from .series import (
     CoefficientTable,
     EvaluatedTable,
+    _evaluated_power,
     compute_coefficients,
     evaluate_table,
-    mul_truncated,
 )
 
 
@@ -98,20 +98,9 @@ def residual_coefficients(
         (j + 2) * (j + 3) * a_{j+2} + (f^n)_j      for j = 0 .. m-2,
 
     with ``f^n`` computed by repeated truncated multiplication (integer
-    index required for exactness).  Every entry must be exactly zero.
+    index required for exactness), the same brute-force power as
+    :func:`~lane_emden.series.verify_c_by_power`.  Every entry must be
+    exactly zero.
     """
-    if not isinstance(n_value, int) or n_value < 0:
-        raise ValueError("exact residual check needs an integer index >= 0")
-    if m is None:
-        m = t.max_index
-    if m > t.max_index:
-        raise ValueError("m exceeds the table size")
-    a_vals = [poly.evaluate(n_value) for poly in t.a[: m + 1]]
-    power = [Fraction(1)] + [Fraction(0)] * m
-    for _ in range(n_value):
-        power = mul_truncated(power, a_vals, m)
-    residual = []
-    for j in range(m - 1):
-        k = j + 2
-        residual.append(k * (k + 1) * a_vals[k] + power[j])
-    return residual
+    m, a_vals, power = _evaluated_power(t, n_value, m, "exact residual check")
+    return [k * (k + 1) * a_vals[k] + power[k - 2] for k in range(2, m + 1)]

@@ -5,7 +5,8 @@ plain :class:`fractions.Fraction` instances (re-exported as ``Rational``),
 which already guarantee the canonical reduced form with a positive
 denominator.  :class:`IndexPolynomial` is a dense univariate polynomial in
 the polytropic index ``n`` with ``Fraction`` coefficients; it supports ring
-arithmetic, exact Horner evaluation, and a canonical factored string form
+arithmetic, integer powers, exact Horner evaluation, and a canonical
+factored string form
 
     -n*(8*n - 5)/15120
 
@@ -19,9 +20,11 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 CoeffLike = Union[int, Fraction]
 
@@ -58,7 +61,9 @@ class IndexPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients: Iterable[CoeffLike] = ()):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [
+            c if isinstance(c, Fraction) else Fraction(c) for c in coefficients
+        ]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         self._coeffs = tuple(coeffs)
@@ -96,13 +101,14 @@ class IndexPolynomial:
             a, b = b, a
         out = list(a)
         for j, c in enumerate(b):
-            out[j] += c
+            if c:
+                out[j] += c
         return IndexPolynomial(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IndexPolynomial":
-        return IndexPolynomial(-c for c in self._coeffs)
+        return IndexPolynomial(-c if c else c for c in self._coeffs)
 
     def __sub__(self, other) -> "IndexPolynomial":
         other = _coerce(other)
@@ -123,7 +129,14 @@ class IndexPolynomial:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return IndexPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        if any(b[:-1]):
+            a, b = b, a
+        if not any(b[:-1]):
+            # ``b`` is a monomial c*n**d: scale ``a`` by c, shift it by d.
+            c = b[-1]
+            scaled = [ai * c if ai else ai for ai in a]
+            return IndexPolynomial([_ZERO] * (len(b) - 1) + scaled)
+        out = [_ZERO] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
                 continue
@@ -133,6 +146,20 @@ class IndexPolynomial:
         return IndexPolynomial(out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, e) -> "IndexPolynomial":
+        """``self`` raised to a nonnegative integer power ``e``."""
+        if not isinstance(e, int):
+            return NotImplemented
+        if e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        a = self._coeffs
+        if any(a[:-1]):
+            return IndexPolynomial(_power_truncated(a, e, self.degree * e))
+        # Zero, a constant or a monomial c*n**d: raise c and scale d.
+        if not a:
+            return IndexPolynomial((0**e,))
+        return IndexPolynomial([_ZERO] * (self.degree * e) + [a[-1] ** e])
 
     def __truediv__(self, scalar) -> "IndexPolynomial":
         if isinstance(scalar, (int, Fraction)):
@@ -197,6 +224,32 @@ def _coerce(value) -> "IndexPolynomial":
     if isinstance(value, (int, Fraction)):
         return IndexPolynomial((value,))
     return NotImplemented
+
+
+def _power_truncated(b: Sequence[Fraction], q: int, m: int) -> list[Fraction]:
+    """Coefficients of ``(sum b_l x^l) ** q`` through ``x**m``, exactly.
+
+    The ``b`` are cleared to integers over their least common denominator
+    ``D``, the ``q`` truncated products run on ints, and each coefficient
+    is divided by ``D**q`` once at the end.
+    """
+    den = lcm(*(c.denominator for c in b))
+    terms = [
+        (j, c.numerator * (den // c.denominator))
+        for j, c in enumerate(b[: m + 1]) if c
+    ]
+    power = [1] + [0] * m
+    for _ in range(q):
+        out = [0] * (m + 1)
+        for i, p in enumerate(power):
+            if p:
+                for j, v in terms:
+                    if i + j > m:
+                        break
+                    out[i + j] += p * v
+        power = out
+    scale = den**q
+    return [Fraction(p, scale) for p in power]
 
 
 def _factored_parts(coeffs):

@@ -5,7 +5,9 @@ any expression over integers and the symbol ``n`` built from ``+ - * / **``
 and parentheses, e.g. ``-n*(8*n - 5)/15120``.  Division is only defined by
 a nonzero constant and exponents must be nonnegative integer constants, so
 every valid expression denotes a polynomial in ``n`` with exact rational
-coefficients.
+coefficients.  An expression whose degree, powered coefficients or integer
+literals exceed the bounds below raises :class:`ExpressionError` before the
+work is done.
 """
 
 from __future__ import annotations
@@ -17,7 +19,22 @@ from .exact import IndexPolynomial, N
 
 
 class ExpressionError(ValueError):
-    """Raised for syntax errors or non-polynomial constructs."""
+    """Raised for syntax errors, non-polynomial constructs and inputs over
+    the bounds below."""
+
+
+# Bounds on the work one expression can ask for.  No product or power may
+# exceed MAX_DEGREE, and no power may raise coefficients of b bits to an
+# exponent e with b*e above MAX_BITS.  Every other operation only adds to
+# the coefficient sizes, so the work stays bounded by the length of the
+# text.  ``a[k]`` has
+# degree k/2 - 1, so a table would need k > 2000 to print a degree above
+# MAX_DEGREE, and its coefficients stay far below MAX_BITS.
+# MAX_LITERAL_DIGITS is CPython's default limit for converting a decimal
+# string to an int.
+MAX_DEGREE = 1000
+MAX_BITS = 1 << 20
+MAX_LITERAL_DIGITS = 4300
 
 
 _TOKEN = re.compile(r"\d+|\*\*|[n()+\-*/]")
@@ -62,6 +79,10 @@ class _Parser:
         where = "end of input" if pos is None else f"position {pos}"
         raise ExpressionError(f"{message} at {where}")
 
+    def bound_degree(self, degree, pos):
+        if degree > MAX_DEGREE:
+            self.error(f"degree above {MAX_DEGREE}", pos)
+
     # expr := term (('+' | '-') term)*
     def expr(self) -> IndexPolynomial:
         result = self.term()
@@ -78,6 +99,7 @@ class _Parser:
             op, pos = self.take()
             rhs = self.unary()
             if op == "*":
+                self.bound_degree(result.degree + rhs.degree, pos)
                 result = result * rhs
             else:
                 if rhs.degree >= 1:
@@ -106,10 +128,10 @@ class _Parser:
             value = exponent.coefficient(0)
             if value.denominator != 1 or value < 0:
                 self.error("exponent must be a nonnegative integer", pos)
-            result = IndexPolynomial((1,))
-            for _ in range(int(value)):
-                result = result * base
-            return result
+            self.bound_degree(base.degree * value, pos)
+            if _bits(base) * value > MAX_BITS:
+                self.error(f"coefficients above {MAX_BITS} bits", pos)
+            return base ** int(value)
         return base
 
     # atom := INT | 'n' | '(' expr ')'
@@ -119,6 +141,11 @@ class _Parser:
             self.error("unexpected end of expression")
         token, pos = self.take()
         if token.isdigit():
+            if len(token) > MAX_LITERAL_DIGITS:
+                self.error(
+                    f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
+                    pos,
+                )
             return IndexPolynomial((Fraction(int(token)),))
         if token == "n":
             return N
@@ -129,6 +156,15 @@ class _Parser:
             self.take()
             return inner
         self.error(f"unexpected token {token!r}", pos)
+
+
+def _bits(p: IndexPolynomial) -> int:
+    """Largest numerator plus denominator bit length of a coefficient."""
+    return max(
+        (c.numerator.bit_length() + c.denominator.bit_length()
+         for c in p.coefficients),
+        default=0,
+    )
 
 
 def parse_expression(text: str) -> IndexPolynomial:

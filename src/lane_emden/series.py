@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._backend import kernels
-from .exact import CoeffLike, IndexPolynomial
+from .exact import CoeffLike, IndexPolynomial, _power_truncated
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,28 @@ def verify_c_by_power(
 
     For an integer index, ``f^n`` can be computed exactly by multiplying
     the evaluated ``a`` series by itself ``n`` times with truncation; this
-    is independent of the recurrence that produced ``c``.
+    is independent of the recurrence that produced ``c``.  The products
+    run on integers over one common denominator.
+    """
+    m, _, power = _evaluated_power(t, n_value, m, "brute-force power check")
+    return power == [poly.evaluate(n_value) for poly in t.c[: m + 1]]
+
+
+def _evaluated_power(
+    t: CoefficientTable, n_value: int, m: int | None, check: str
+) -> tuple[int, list[Fraction], list[Fraction]]:
+    """The order ``m``, ``a[0..m]`` at ``n_value``, and ``f**n_value``.
+
+    ``f**n_value`` is the brute-force power of the evaluated series,
+    truncated after ``x**m`` and independent of the recurrence.  ``m``
+    defaults to the table's order; ``check`` names the caller in the error
+    for a bad index.
     """
     if not isinstance(n_value, int) or n_value < 0:
-        raise ValueError("brute-force power check needs an integer index >= 0")
+        raise ValueError(f"{check} needs an integer index >= 0")
     if m is None:
         m = t.max_index
     if m > t.max_index:
         raise ValueError("m exceeds the table size")
     a_vals = [poly.evaluate(n_value) for poly in t.a[: m + 1]]
-    power = [Fraction(1)] + [Fraction(0)] * m
-    for _ in range(n_value):
-        power = mul_truncated(power, a_vals, m)
-    c_vals = [poly.evaluate(n_value) for poly in t.c[: m + 1]]
-    return power == c_vals
+    return m, a_vals, _power_truncated(a_vals, n_value, m)

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks at fixed tolerances.
+"""Acceptance gate: eleven end-to-end checks at fixed tolerances.
 
 Each test prints exactly one ``ACCEPTANCE NN label: PASS|FAIL`` line
 (run ``pytest tests/test_acceptance.py -v -s`` to see them inline) and
@@ -29,6 +29,10 @@ from lane_emden.cli import cmd_coeffs, run_bench
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
 
 GOLDEN_M6 = b"000;1\n002;-1/6\n004;n/120\n006;-n*(8*n - 5)/15120\n"
+
+#: First zeros from the literature (Chandrasekhar 1939; Horedt,
+#: Polytropes, 2004).
+LITERATURE_XI1 = {1.5: 3.65375373621, 3.0: 6.89684861937}
 
 
 def report(num: int, label: str, ok: bool) -> None:
@@ -187,3 +191,16 @@ def test_criterion_10_file_format(tmp_path):
     ok = data == GOLDEN_M6
     report(10, "coeff-file-bytes", ok)
     assert ok, f"got {data!r}"
+
+
+def test_criterion_11_literature_first_zeros():
+    errs = {
+        n_value: abs(
+            first_zero(solve_midpoint(n_value, IntegratorConfig(dx=1e-4)))
+            - xi1
+        )
+        for n_value, xi1 in LITERATURE_XI1.items()
+    }
+    ok = all(err < 1e-7 for err in errs.values())
+    report(11, "literature-first-zeros", ok)
+    assert ok, f"distance from the literature first zeros: {errs}"

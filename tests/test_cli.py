@@ -221,6 +221,25 @@ class TestExitCodes:
         assert "argument --n" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, option", [
+        (["integrate", "--n", "3", "--dx", "0.1", "--xmax", "inf"], "--xmax"),
+        (["integrate", "--n", "3", "--dx", "0.1", "--xmax", "nan"], "--xmax"),
+        (["integrate", "--n", "3", "--dx", "inf"], "--dx"),
+        (["integrate", "--n", "3", "--dx", "nan"], "--dx"),
+        (["compare", "--n", "3", "--m", "4", "--dx", "0.1", "--xmax", "inf"],
+         "--xmax"),
+        (["compare", "--n", "3", "--m", "4", "--dx", "inf"], "--dx"),
+    ])
+    def test_nonfinite_step_or_cap_rejected(
+        self, argv, option, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err
+        assert "Traceback" not in err
+
     def test_nonpositive_dx_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["integrate", "--n", "1", "--dx", "0",

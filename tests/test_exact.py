@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lane_emden import IndexPolynomial, N, Rational, rat_arith
+from lane_emden import IndexPolynomial, N, Rational, mul_truncated, rat_arith
 
 rationals = st.builds(
     Fraction, st.integers(-20, 20), st.integers(1, 20)
 )
 polynomials = st.lists(rationals, min_size=0, max_size=5).map(IndexPolynomial)
+monomials = st.builds(
+    lambda c, d: IndexPolynomial((0,) * d + (c,)), rationals, st.integers(0, 5)
+)
+factors = st.one_of(polynomials, monomials)
 
 
 class TestRatArith:
@@ -148,6 +152,16 @@ class TestArithmetic:
     def test_one_is_identity(self, p):
         one = IndexPolynomial((1,))
         assert p * one == p
+
+    @given(factors, factors)
+    def test_mul_matches_full_product(self, p, q):
+        degree = p.degree + q.degree
+        full = mul_truncated(p.coefficients, q.coefficients, degree)
+        assert p * q == IndexPolynomial(full)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            N ** -1
 
 
 class TestEvaluate:

@@ -17,6 +17,7 @@ from lane_emden import (
     parse_expression,
     verify_c_by_power,
 )
+from lane_emden.exact import _power_truncated
 
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
 
@@ -230,3 +231,22 @@ class TestMulTruncated:
         assert mul_truncated([Fraction(2)], [Fraction(3)], 3) == [
             Fraction(6), Fraction(0), Fraction(0), Fraction(0)
         ]
+
+
+class TestIntegerClearedPower:
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(Fraction(0)),
+                st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+            ),
+            max_size=7,
+        ),
+        st.integers(0, 6),
+        st.integers(0, 8),
+    )
+    def test_matches_repeated_mul_truncated(self, b, q, m):
+        want = [Fraction(1)] + [Fraction(0)] * m
+        for _ in range(q):
+            want = mul_truncated(want, b, m)
+        assert _power_truncated(b, q, m) == want
