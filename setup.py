@@ -2,8 +2,8 @@ import os
 
 from setuptools import Extension, setup
 
-# The compiled kernels are an optional speedup; the package falls back to
-# the pure-Python implementations in lane_emden._kernels when the build is
+# The compiled stepping kernel is an optional speedup; the package falls
+# back to the pure-Python one in lane_emden._kernels when the build is
 # skipped or fails.  Set LANE_EMDEN_NO_EXT=1 to skip the build entirely.
 ext_modules = []
 if os.environ.get("LANE_EMDEN_NO_EXT") != "1":

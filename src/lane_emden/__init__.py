@@ -5,9 +5,9 @@ The symbolic engine produces the Maclaurin coefficients a_k as exact
 polynomials in the polytropic index n, evaluates them as arbitrary
 precision fractions, and cross-checks them with independent oracles; the
 numeric side integrates the equation with the seeded midpoint method.  The
-hot kernels have a compiled (Cython) implementation with a pure-Python
-fallback selected at import time (``LANE_EMDEN_PURE=1`` forces the
-fallback).
+midpoint stepping loop has a compiled (Cython) implementation with a
+pure-Python fallback selected at import time (``LANE_EMDEN_PURE=1`` forces
+the fallback); the series kernel is pure Python on both backends.
 """
 
 from ._backend import backend_name

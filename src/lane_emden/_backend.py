@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
 Imports the compiled kernels when available and falls back to the pure
-Python twins otherwise.  Set ``LANE_EMDEN_PURE=1`` in the environment to
-force the fallback (useful for benchmarking and debugging).
+Python ones otherwise.  Only the midpoint stepping loop has a compiled
+twin; ``lee_series_tables`` is the pure kernel on both backends.  Set
+``LANE_EMDEN_PURE=1`` in the environment to force the fallback (useful for
+benchmarking and debugging).
 """
 
 from __future__ import annotations

@@ -1,105 +1,18 @@
 # cython: language_level=3
 # cython: boundscheck=False
 # cython: wraparound=False
-"""Compiled twins of the kernels in ``lane_emden._kernels``.
+"""Compiled twin of the stepping kernel in ``lane_emden._kernels``.
 
-Same contracts, same results: the series kernel manipulates the same
-arbitrary-precision Python integers (only the loop bookkeeping is compiled)
-and the stepping kernel performs the identical double-precision operations
-in the identical order (the extension is built with FP contraction off).
+``midpoint_steps`` performs the identical double-precision operations in
+the identical order (the extension is built with FP contraction off).  The
+series kernel's work is bigint multiplication either way, so this module
+re-exports the pure one and ``_backend.kernels`` has the same contract on
+both backends.
 """
-
-from math import gcd, lcm
 
 from libc.math cimport floor, pow
 
-
-cdef _content(list values):
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
-cdef _reduce(list nums, den):
-    cdef Py_ssize_t i
-    g = gcd(_content(nums), den)
-    if g > 1:
-        for i in range(len(nums)):
-            nums[i] = nums[i] // g
-        den = den // g
-    return nums, den
-
-
-def lee_series_tables(m: int):
-    """See ``lane_emden._kernels.lee_series_tables``."""
-    cdef Py_ssize_t k, l, i, j, nb, nc
-    cdef list a_num = [[1], [0]]
-    cdef list a_den = [1, 1]
-    cdef list c_num = [[1], [0]]
-    cdef list c_den = [1, 1]
-    cdef list al, cl, bracket, prod, total, terms, dens
-    for k in range(2, m + 1):
-        if k % 2:
-            a_num.append([0])
-            a_den.append(1)
-            c_num.append([0])
-            c_den.append(1)
-            continue
-
-        cl = c_num[k - 2]
-        nums = [-v for v in cl]
-        nums, den = _reduce(nums, c_den[k - 2] * (k * k + k))
-        a_num.append(nums)
-        a_den.append(den)
-
-        terms = []
-        dens = []
-        common = 1
-        for l in range(2, k + 1, 2):
-            al = a_num[l]
-            cl = c_num[k - l]
-            nb = len(al) + 1
-            nc = len(cl)
-            bracket = [0] * nb
-            c0 = l - k
-            for j in range(nb - 1):
-                v = al[j]
-                bracket[j] = bracket[j] + c0 * v
-                bracket[j + 1] = bracket[j + 1] + l * v
-            prod = [0] * (nb + nc - 1)
-            for i in range(nb):
-                bi = bracket[i]
-                if bi:
-                    for j in range(nc):
-                        cj = cl[j]
-                        if cj:
-                            prod[i + j] = prod[i + j] + bi * cj
-            den_l = a_den[l] * c_den[k - l]
-            terms.append(prod)
-            dens.append(den_l)
-            common = lcm(common, den_l)
-
-        nb = 0
-        for i in range(len(terms)):
-            if len(<list>terms[i]) > nb:
-                nb = len(<list>terms[i])
-        total = [0] * nb
-        for i in range(len(terms)):
-            prod = terms[i]
-            scale = common // dens[i]
-            for j in range(len(prod)):
-                v = prod[j]
-                if v:
-                    total[j] = total[j] + v * scale
-        while len(total) > 1 and total[len(total) - 1] == 0:
-            total.pop()
-        total, den = _reduce(total, common * k)
-        c_num.append(total)
-        c_den.append(den)
-
-    end = m + 1
-    return a_num[:end], a_den[:end], c_num[:end], c_den[:end]
+from lane_emden._kernels import lee_series_tables
 
 
 def midpoint_steps(double n, double dx, double xmax, list xs, list Fs, list Hs):

@@ -178,12 +178,25 @@ class IndexPolynomial:
     # -- evaluation and printing -------------------------------------------
 
     def evaluate(self, value: CoeffLike) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact Horner evaluation at a rational point ``p/q``.
+
+        The coefficients are cleared to integers over their least common
+        denominator ``D``; Horner then runs on ints, adding the term of
+        ``n**j`` scaled by ``q**(d - j)``, and the sum is divided by
+        ``D * q**d`` once.
+        """
         value = Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * value + c
-        return acc
+        coeffs = self._coeffs
+        if not coeffs:
+            return Fraction(0)
+        p, q = value.numerator, value.denominator
+        den = lcm(*(c.denominator for c in coeffs))
+        acc = 0
+        q_pow = 1
+        for c in reversed(coeffs):
+            acc = acc * p + c.numerator * (den // c.denominator) * q_pow
+            q_pow *= q
+        return Fraction(acc, den * q ** (len(coeffs) - 1))
 
     def __call__(self, value: CoeffLike) -> Fraction:
         return self.evaluate(value)

@@ -22,6 +22,7 @@ solution stays positive forever).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -47,8 +48,11 @@ class IntegratorConfig:
     seed_order: int = 10
 
     def __post_init__(self):
-        if not self.dx > 0:
-            raise ValueError("dx must be positive")
+        if not math.isfinite(self.dx) or not self.dx > 0:
+            raise ValueError("dx must be finite and positive")
+        if not math.isfinite(self.xmax):
+            # for n >= 5 the solution has no zero, so xmax alone stops it
+            raise ValueError("xmax must be finite")
         if not self.xmax > 3 * self.dx:
             raise ValueError("xmax must exceed the seeded region 3*dx")
         if self.seed_order < 2 or self.seed_order % 2:

@@ -144,11 +144,14 @@ class TestCompare:
 
 
 class TestOutputBytes:
-    """Whole-file digests of the float CSV commands.
+    """Whole-file digests of the float CSVs and the coefficient file.
 
-    The digests are those of the row-at-a-time writer that preceded the
-    columnar one; the first two equal the benchmark's smoke-size hashes.
-    The ``1e-3`` grids are longer than one ``CHUNK_ROWS`` chunk.
+    The float digests are those of the row-at-a-time writer that preceded
+    the columnar one; the first two equal the benchmark's smoke-size
+    hashes.  The ``1e-3`` grids are longer than one ``CHUNK_ROWS`` chunk.
+    The ``coeffs`` digests are the benchmark's pinned ones at ``m = 10``
+    and ``m = 140``, where the series kernel interpolates polynomials of
+    degree up to 70.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -160,6 +163,10 @@ class TestOutputBytes:
          "07b6d081a85ef1d7f1c14e1da5de932ddadf9a20608f20fae40981092f73ec3d"),
         (["compare", "--n", "3", "--m", "10", "--dx", "1e-3"],
          "400d978875c35ad216155469a3426df95b8a9e3f057048ac29989c6c33b80a2e"),
+        (["coeffs", "--m", "10"],
+         "acdd8af764755db6c3a90103eb87e7d5bae445b413727331270c66ea86414ccc"),
+        (["coeffs", "--m", "140"],
+         "b3097ff2a90b724614e5404f54bd80d5fbe5eb7f284dd380e9e275ceaa4d7da3"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"

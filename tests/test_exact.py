@@ -181,6 +181,18 @@ class TestEvaluate:
     def test_callable(self):
         assert N(Fraction(3, 2)) == Fraction(3, 2)
 
+    @given(
+        st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=12),
+        st.one_of(rationals, st.integers(-30, 30)),
+    )
+    def test_matches_fraction_horner(self, coeffs, x):
+        want = Fraction(0)
+        for c in reversed(coeffs):
+            want = want * x + c
+        got = IndexPolynomial(coeffs).evaluate(x)
+        assert type(got) is Fraction
+        assert got == want
+
     @given(polynomials, polynomials, rationals)
     def test_evaluation_is_ring_homomorphism(self, p, q, x):
         assert (p + q).evaluate(x) == p.evaluate(x) + q.evaluate(x)

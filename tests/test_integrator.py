@@ -33,6 +33,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(dx=1.0, xmax=2.0)
 
+    @pytest.mark.parametrize("dx, xmax", [
+        (0.1, math.inf), (0.1, math.nan), (math.inf, 50.0),
+        (math.inf, math.inf),
+    ])
+    def test_step_and_cap_must_be_finite(self, dx, xmax):
+        # only constructs: an unbounded xmax would never stop at n >= 5
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(dx=dx, xmax=xmax)
+
     def test_seed_order_must_be_positive_even(self):
         with pytest.raises(ValueError):
             IntegratorConfig(dx=1e-3, seed_order=7)

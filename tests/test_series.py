@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lane_emden import (
@@ -17,6 +17,7 @@ from lane_emden import (
     parse_expression,
     verify_c_by_power,
 )
+from lane_emden._kernels import _interpolate
 from lane_emden.exact import _power_truncated
 
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
@@ -87,6 +88,36 @@ class TestRecurrence:
         small = compute_coefficients(10)
         assert small.a == TABLE28.a[:11]
         assert small.c == TABLE28.c[:11]
+
+
+class TestRationalIndexOracle:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7)),
+        st.integers(0, 40),
+    )
+    @example(Fraction(7, 3), 40)
+    def test_matches_numeric_recurrence(self, n0, m):
+        # a_k built one order at a time in Fractions at n0, never touching
+        # the symbolic kernel: c_{k-2} is the power recurrence applied to
+        # the a terms found so far.
+        want = [Fraction(1), Fraction(0)][: m + 1]
+        for k in range(2, m + 1):
+            c = miller_power(want[: k - 1], n0, k - 2)[k - 2]
+            want.append(-c / (k * k + k))
+        t = compute_coefficients(m)
+        assert [t.a[k].evaluate(n0) for k in range(m + 1)] == want
+
+
+class TestInterpolate:
+    @given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=12),
+           st.integers(0, 3))
+    def test_recovers_integer_polynomial(self, coeffs, extra):
+        # values at one node per coefficient, plus ``extra`` spare nodes
+        nodes = len(coeffs) + extra
+        values = [sum(c * x**j for j, c in enumerate(coeffs))
+                  for x in range(nodes)]
+        assert _interpolate(values) == coeffs + [0] * extra
 
 
 class TestMillerPower:
