@@ -4,10 +4,9 @@ Lane-Emden equation f'' + (2/x) f' + f^n = 0 with f(0) = 1, f'(0) = 0.
 The symbolic engine produces the Maclaurin coefficients a_k as exact
 polynomials in the polytropic index n, evaluates them as arbitrary
 precision fractions, and cross-checks them with independent oracles; the
-numeric side integrates the equation with the seeded midpoint method.  The
-midpoint stepping loop has a compiled (Cython) implementation with a
-pure-Python fallback selected at import time (``LANE_EMDEN_PURE=1`` forces
-the fallback); the series kernel is pure Python on both backends.
+numeric side integrates the equation with the seeded midpoint method.
+Everything, the series kernel and the stepping loop included, is plain
+Python.
 """
 
 from ._backend import backend_name

@@ -1,34 +1,17 @@
-"""Kernel backend selection.
+"""The names the benchmark harness reads: ``kernels`` and ``backend_name``.
 
-Imports the compiled kernels when available and falls back to the pure
-Python ones otherwise.  Only the midpoint stepping loop has a compiled
-twin; ``lee_series_tables`` is the pure kernel on both backends.  Set
-``LANE_EMDEN_PURE=1`` in the environment to force the fallback (useful for
-benchmarking and debugging).
+The package has one implementation of each kernel, in
+``lane_emden._kernels``, and calls it directly.  This module exists only
+because ``perfbench/spans.py`` patches ``kernels.lee_series_tables`` and
+``kernels.midpoint_steps`` through it and ``perfbench/run.py`` reports
+``backend_name()``; it goes once the harness reads ``_kernels`` itself.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels as _pure
-
-FORCE_PURE_ENV = "LANE_EMDEN_PURE"
-
-if os.environ.get(FORCE_PURE_ENV) == "1":
-    kernels = _pure
-    BACKEND = "pure"
-else:
-    try:
-        from . import _ckernels as _compiled
-    except ImportError:
-        kernels = _pure
-        BACKEND = "pure"
-    else:
-        kernels = _compiled
-        BACKEND = "compiled"
+from . import _kernels as kernels
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: ``"compiled"`` or ``"pure"``."""
-    return BACKEND
+    """Always ``"pure"``: the kernels are plain Python."""
+    return "pure"

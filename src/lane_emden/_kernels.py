@@ -1,11 +1,5 @@
 """Pure-Python kernels: the series recurrence and the midpoint stepping loop.
 
-``lane_emden._ckernels`` is the compiled (Cython) twin of the stepping
-loop only; the active implementation is picked in ``lane_emden._backend``.
-Both stepping loops perform the same double-precision operations in the
-same order.  The series kernel's work is CPython bigint multiplication on
-either backend, so it has no compiled twin.
-
 The series kernel keeps each coefficient polynomial in denominator-cleared
 form, ``a_k(n) = A_k(n) / d_k`` with ``A_k`` an integer coefficient list and
 ``d_k`` a positive integer coprime to the content of ``A_k``.  That reduced

@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._backend import backend_name
 from .evaluation import TruncatedSeries, eval_series_float
 from .integrate import IntegratorConfig, solve_midpoint
 from .series import compute_coefficients, evaluate_table
@@ -33,9 +32,9 @@ from .series import compute_coefficients, evaluate_table
 USAGE_ERROR = 2
 IO_ERROR = 1
 
-# Rows formatted and lines joined at a time.  Larger chunks gain little
-# speed and raise peak memory: each holds its columns as Python floats
-# and its joined text at once.
+# Lines formatted, joined and written at a time.  Larger chunks gain
+# little speed and raise peak memory: each holds its columns as Python
+# floats and its joined text at once.
 CHUNK_ROWS = 4096
 
 
@@ -50,17 +49,43 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _float_rows(columns: Sequence[np.ndarray]) -> list[str]:
-    """CSV rows of the equal-length float ``columns``, one per element.
+class _FloatLines:
+    """The lines of a float CSV, formatted only when sliced.
 
-    Each field is the same ``.17g`` text as :func:`_fmt` gives.
+    ``head`` lines, then one ``.17g`` row (the text :func:`_fmt` gives for
+    each field) per element of the equal-length float ``columns``, then
+    ``tail`` lines.  ``len`` counts them all; a slice with step 1 returns
+    the list of just those lines, so a writer that takes ``CHUNK_ROWS``
+    lines at a time never holds the text of the whole file.
     """
-    row = ",".join(["{:.17g}"] * len(columns)).format
-    rows: list[str] = []
-    for start in range(0, len(columns[0]), CHUNK_ROWS):
-        stop = start + CHUNK_ROWS
-        rows += map(row, *(col[start:stop].tolist() for col in columns))
-    return rows
+
+    def __init__(
+        self,
+        head: list[str],
+        columns: Sequence[np.ndarray],
+        tail: Sequence[str] = (),
+    ):
+        self.head = head
+        self.columns = columns
+        self.tail = tail
+        self.rows = len(columns[0])
+        self._row = ",".join(["{:.17g}"] * len(columns)).format
+
+    def __len__(self) -> int:
+        return len(self.head) + self.rows + len(self.tail)
+
+    def __getitem__(self, span: slice) -> list[str]:
+        start, stop, _ = span.indices(len(self))
+        lines = self.head[start:stop]
+        lo = max(start - len(self.head), 0)
+        hi = min(stop - len(self.head), self.rows)
+        if lo < hi:
+            lines += map(
+                self._row, *(col[lo:hi].tolist() for col in self.columns)
+            )
+        end = len(self.head) + self.rows
+        lines += self.tail[max(start - end, 0):max(stop - end, 0)]
+        return lines
 
 
 def cmd_coeffs(m: int, out_path: str, fmt: str = "paper") -> None:
@@ -97,10 +122,10 @@ def cmd_eval(n_value: Fraction, m: int, out_path: Optional[str] = None) -> str:
 def cmd_integrate(n: float, cfg: IntegratorConfig, out_path: str) -> None:
     """Integrate and write ``x,F,H`` rows plus a first-zero summary line."""
     result = solve_midpoint(n, cfg)
-    lines = ["x,F,H"]
-    lines += _float_rows((result.xs, result.Fs, result.Hs))
     zero = "none" if result.first_zero is None else _fmt(result.first_zero)
-    lines.append(f"# first_zero={zero}")
+    lines = _FloatLines(
+        ["x,F,H"], (result.xs, result.Fs, result.Hs), [f"# first_zero={zero}"]
+    )
     _write_lines(out_path, lines)
 
 
@@ -111,9 +136,8 @@ def cmd_compare(
     series = TruncatedSeries.for_index(Fraction(n), m)
     result = solve_midpoint(n, cfg)
     sv = eval_series_float(series, result.xs)
-    lines = ["x,series,numeric,abs_err"]
-    lines += _float_rows((result.xs, sv, result.Fs, np.abs(sv - result.Fs)))
-    _write_lines(out_path, lines)
+    columns = (result.xs, sv, result.Fs, np.abs(sv - result.Fs))
+    _write_lines(out_path, _FloatLines(["x,series,numeric,abs_err"], columns))
 
 
 def run_bench(m_max: int, step: int, reps: int) -> list[BenchRecord]:
@@ -145,8 +169,12 @@ def cmd_bench(m_max: int, step: int, reps: int, out_path: str) -> None:
     _write_lines(out_path, lines)
 
 
-def _write_lines(out_path: str, lines: list[str]) -> None:
-    """Write each of the (one or more) ``lines`` ending in ``\\n``."""
+def _write_lines(out_path: str, lines: list[str] | _FloatLines) -> None:
+    """Write each of the (one or more) ``lines`` ending in ``\\n``.
+
+    ``lines`` is taken ``CHUNK_ROWS`` at a time, so a :class:`_FloatLines`
+    is formatted one chunk at a time as well.
+    """
     with open(out_path, "w", encoding="ascii", newline="") as fh:
         for start in range(0, len(lines), CHUNK_ROWS):
             fh.write("\n".join(lines[start:start + CHUNK_ROWS]))
@@ -193,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lane-emden",
         description=(
             "Exact power-series coefficients and midpoint integration "
-            f"for the Lane-Emden equation (kernel backend: {backend_name()})."
+            "for the Lane-Emden equation."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

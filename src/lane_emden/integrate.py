@@ -18,11 +18,15 @@ Integration stops before appending a sample with F < 0 (termination
 the rejected sample) or when the next grid point would pass ``xmax``
 (termination ``reached_xmax``; the cap exists because for n >= 5 the
 solution stays positive forever).
+
+The samples are stored in three ``array("d")`` buffers, 24 bytes a grid
+point, and the result's arrays are views of those buffers, not copies.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -30,13 +34,17 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from ._backend import kernels
+from . import _kernels
 from .series import compute_coefficients
 
 Termination = Literal["crossed_zero", "reached_xmax"]
 
 CROSSED_ZERO: Termination = "crossed_zero"
 REACHED_XMAX: Termination = "reached_xmax"
+
+# Most grid points one run may cover, ``xmax / dx``.  At 24 bytes a stored
+# sample this bounds a run's samples to about 1.2 GB.
+MAX_STEPS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,10 @@ class IntegratorConfig:
             raise ValueError("xmax must be finite")
         if not self.xmax > 3 * self.dx:
             raise ValueError("xmax must exceed the seeded region 3*dx")
+        if self.xmax / self.dx > MAX_STEPS:
+            raise ValueError(
+                f"xmax/dx must not exceed {MAX_STEPS} grid steps"
+            )
         if self.seed_order < 2 or self.seed_order % 2:
             raise ValueError("seed_order must be an even integer >= 2")
 
@@ -125,9 +137,9 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     if n < 0:
         raise ValueError("index n must be nonnegative")
     dx = float(cfg.dx)
-    xs = [0.0]
-    Fs = [1.0]
-    Hs = [0.0]
+    xs = array("d", [0.0])
+    Fs = array("d", [1.0])
+    Hs = array("d", [0.0])
 
     crossed = False
     x_reject = f_reject = 0.0
@@ -146,7 +158,7 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
         Fs.append(F)
         Hs.append(H)
     else:
-        crossed, x_reject, f_reject = kernels.midpoint_steps(
+        crossed, x_reject, f_reject = _kernels.midpoint_steps(
             float(n), dx, float(cfg.xmax), xs, Fs, Hs
         )
 
@@ -157,9 +169,9 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
         termination = REACHED_XMAX
         zero = None
     return IntegrationResult(
-        xs=np.asarray(xs),
-        Fs=np.asarray(Fs),
-        Hs=np.asarray(Hs),
+        xs=np.frombuffer(xs),
+        Fs=np.frombuffer(Fs),
+        Hs=np.frombuffer(Hs),
         termination=termination,
         first_zero=zero,
     )

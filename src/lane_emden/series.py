@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._backend import kernels
+from . import _kernels
 from .exact import CoeffLike, IndexPolynomial, _power_truncated
 
 
@@ -56,12 +56,12 @@ def compute_coefficients(m: int) -> CoefficientTable:
     """Compute the coefficient tables through index ``m`` exactly.
 
     Odd indices are set to zero without evaluating the sum; even entries
-    come from the recurrence run in denominator-cleared integer form by the
-    active kernel backend.
+    come from the recurrence run in denominator-cleared integer form by
+    ``_kernels.lee_series_tables``.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    a_num, a_den, c_num, c_den = kernels.lee_series_tables(m)
+    a_num, a_den, c_num, c_den = _kernels.lee_series_tables(m)
     a = tuple(_wrap(nums, den) for nums, den in zip(a_num, a_den))
     c = tuple(_wrap(nums, den) for nums, den in zip(c_num, c_den))
     return CoefficientTable(max_index=m, a=a, c=c)

@@ -22,8 +22,8 @@ def child_env():
 
     The child sees only ``PATH``, a ``PYTHONPATH`` holding the directory
     of the ``lane_emden`` package this process imported (``src/`` or an
-    installed copy), and the extra variables passed in. No stray
-    ``LANE_EMDEN_*`` variable leaks in from the caller's environment.
+    installed copy), and the extra variables passed in. Nothing else
+    leaks in from the caller's environment.
     """
     import lane_emden
 

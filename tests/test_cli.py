@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from lane_emden import cli
@@ -174,6 +176,43 @@ class TestOutputBytes:
         assert hashlib.sha256(read_bytes(out)).hexdigest() == digest
 
 
+class TestFloatLines:
+    def test_every_slice_matches_the_eager_lines(self):
+        columns = (np.array([0.0, 0.1, 1e300, -0.0, 5e-324]),
+                   np.array([1.0, 2.0 / 3.0, math.inf, 1e-7, -2.5]))
+        eager = ["x,y"] + [",".join(cli._fmt(v) for v in row)
+                           for row in zip(*columns)] + ["# end"]
+        lines = cli._FloatLines(["x,y"], columns, ["# end"])
+        assert len(lines) == len(eager)
+        for start in range(len(eager) + 1):
+            for stop in range(len(eager) + 2):
+                assert lines[start:stop] == eager[start:stop]
+
+
+class TestMemory:
+    """Float output holds 24 bytes a sample plus one chunk of text.
+
+    Holding the samples as Python floats, or the text of the whole file,
+    would each add several MiB at these 69,000-row grids.
+    """
+
+    @pytest.mark.parametrize("argv, limit_mib", [
+        (["integrate", "--n", "3", "--dx", "1e-4"], 4),
+        (["compare", "--n", "3", "--m", "28", "--dx", "1e-4"], 6),
+    ])
+    def test_traced_peak(self, tmp_path, argv, limit_mib):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+        # the warm-up fills the coefficient caches
+        assert cli.main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
+
+
 class TestBench:
     def test_rows(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -246,6 +285,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"argument {option}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--n", "3", "--dx", "1e-9"],
+        ["compare", "--n", "3", "--m", "4", "--dx", "1e-5",
+         "--xmax", "1e3"],
+    ])
+    def test_too_many_grid_steps_rejected(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        # rejected while building the config; should that check go, the
+        # run must still not start, for it would fill memory
+        def never(*args):
+            raise AssertionError("solver started")
+
+        monkeypatch.setattr(cli, "solve_midpoint", never)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "grid steps" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "unused.csv").exists()
 
     def test_nonpositive_dx_rejected(self):
         with pytest.raises(SystemExit) as exc:

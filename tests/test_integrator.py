@@ -15,7 +15,9 @@ from lane_emden import (
     seed_values,
     solve_midpoint,
 )
+from lane_emden import _kernels
 from lane_emden._backend import kernels
+from lane_emden.integrate import MAX_STEPS
 
 
 class TestConfig:
@@ -41,6 +43,14 @@ class TestConfig:
         # only constructs: an unbounded xmax would never stop at n >= 5
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(dx=dx, xmax=xmax)
+
+    def test_grid_steps_are_bounded(self):
+        # only constructs: the run itself would store 24 bytes a step
+        IntegratorConfig(dx=50.0 / MAX_STEPS, xmax=50.0)
+        with pytest.raises(ValueError, match="grid steps"):
+            IntegratorConfig(dx=50.0 / MAX_STEPS / 2, xmax=50.0)
+        with pytest.raises(ValueError, match="grid steps"):
+            IntegratorConfig(dx=5e-324, xmax=1.0)
 
     def test_seed_order_must_be_positive_even(self):
         with pytest.raises(ValueError):
@@ -156,6 +166,31 @@ class TestSolveMidpoint:
         coarse = solve_midpoint(3.0, IntegratorConfig(dx=1e-3))
         fine = solve_midpoint(3.0, IntegratorConfig(dx=2e-4))
         assert abs(first_zero(coarse) - first_zero(fine)) < 5e-3
+
+
+class TestSampleStorage:
+    @pytest.mark.parametrize("n_value, dx, xmax", [
+        (1.5, 1e-3, 50.0), (3.0, 1e-3, 50.0), (5.0, 1e-2, 10.0),
+    ])
+    def test_arrays_match_list_stepping_bitwise(self, n_value, dx, xmax):
+        xs, Fs, Hs = [0.0], [1.0], [0.0]
+        for i in (1, 2, 3):
+            f, h = seed_values(n_value, i * dx)
+            xs.append(i * dx)
+            Fs.append(f)
+            Hs.append(h)
+        crossed, x_stop, f_stop = _kernels.midpoint_steps(
+            n_value, dx, xmax, xs, Fs, Hs
+        )
+        r = solve_midpoint(n_value, IntegratorConfig(dx=dx, xmax=xmax))
+        for got, want in ((r.xs, xs), (r.Fs, Fs), (r.Hs, Hs)):
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want).tobytes()
+        assert r.termination == ("crossed_zero" if crossed else "reached_xmax")
+        if crossed:
+            assert r.first_zero == interpolate_zero(
+                xs[-1], Fs[-1], x_stop, f_stop
+            )
 
 
 class TestKernelGuards:

@@ -17,7 +17,7 @@ from lane_emden import (
     parse_expression,
     verify_c_by_power,
 )
-from lane_emden._kernels import _interpolate
+from lane_emden._kernels import _interpolate, lee_series_tables
 from lane_emden.exact import _power_truncated
 
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
@@ -43,6 +43,12 @@ class TestRecurrence:
         t = compute_coefficients(4)
         assert t.c[2] == IndexPolynomial((0, Fraction(-1, 6)))
         assert t.a[4] == IndexPolynomial((0, Fraction(1, 120)))
+
+    def test_kernel_tables_are_reduced_integer_lists(self):
+        # a_4 = n/120 as numerators of n**j over one denominator
+        a_num, a_den, _, _ = lee_series_tables(4)
+        assert a_num[4] == [0, 1]
+        assert a_den[4] == 120
 
     def test_c6(self):
         t = compute_coefficients(8)
