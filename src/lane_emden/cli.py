@@ -21,13 +21,14 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .evaluation import TruncatedSeries, eval_series_float
 from .integrate import IntegratorConfig, solve_midpoint
-from .series import compute_coefficients, evaluate_table
+from .series import MAX_ORDER, compute_coefficients, evaluate_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 USAGE_ERROR = 2
 IO_ERROR = 1
@@ -112,11 +113,9 @@ def cmd_eval(n_value: Fraction, m: int, out_path: Optional[str] = None) -> str:
     table = compute_coefficients(m)
     ev = evaluate_table(table, n_value)
     lines = [f"a[{k}] = {ev.a_values[k]}" for k in range(0, m + 1, 2)]
-    text = "\n".join(lines) + "\n"
     if out_path is not None:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    return text
+        _write_lines(out_path, lines)
+    return "\n".join(lines) + "\n"
 
 
 def cmd_integrate(n: float, cfg: IntegratorConfig, out_path: str) -> None:
@@ -133,6 +132,9 @@ def cmd_compare(
     n: float, m: int, cfg: IntegratorConfig, out_path: str
 ) -> None:
     """Series vs. numeric solution over the integration grid (CSV)."""
+    # numpy is imported at first use, so the exact commands never load it
+    import numpy as np
+
     series = TruncatedSeries.for_index(Fraction(n), m)
     result = solve_midpoint(n, cfg)
     sv = eval_series_float(series, result.xs)
@@ -200,6 +202,14 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _order(text: str) -> int:
+    """Table order (``--m``, ``--mmax``): 0 through ``series.MAX_ORDER``."""
+    value = _nonneg_int(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORDER}")
+    return value
+
+
 def _index(text: str) -> float:
     """Polytropic index of the float commands: finite and >= 0."""
     value = float(text)
@@ -227,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="write symbolic coefficients to a file")
-    p.add_argument("--m", type=_nonneg_int, required=True,
+    p.add_argument("--m", type=_order, required=True,
                    help="highest coefficient index")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=("paper", "csv"), default="paper",
@@ -236,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="print coefficients for a fixed index")
     p.add_argument("--n", type=_rational, required=True,
                    help="index as an exact rational, e.g. 3 or 3/2")
-    p.add_argument("--m", type=_nonneg_int, required=True,
+    p.add_argument("--m", type=_order, required=True,
                    help="highest coefficient index")
     p.add_argument("--out", help="also write the table to this path")
 
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="series vs numeric solution CSV")
     p.add_argument("--n", type=_index, required=True,
                    help="index (float, finite, >= 0)")
-    p.add_argument("--m", type=_nonneg_int, required=True,
+    p.add_argument("--m", type=_order, required=True,
                    help="series truncation order")
     p.add_argument("--dx", type=_positive_float, required=True,
                    help="grid step")
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("bench", help="time the coefficient engine")
-    p.add_argument("--mmax", type=_nonneg_int, required=True,
+    p.add_argument("--mmax", type=_order, required=True,
                    help="largest table size to time")
     p.add_argument("--step", type=_nonneg_int, default=10,
                    help="table size increment (default 10)")

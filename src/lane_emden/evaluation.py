@@ -12,48 +12,18 @@ strongest available correctness oracle for the coefficient engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import CoeffLike
-from .series import (
-    CoefficientTable,
-    EvaluatedTable,
-    _evaluated_power,
-    compute_coefficients,
-    evaluate_table,
-)
+from .series import CoefficientTable, EvaluatedTable, _evaluated_power
 
+if TYPE_CHECKING:
+    import numpy as np
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Evaluated coefficients ``a_k`` through ``x**max_index`` at one index."""
-
-    n_value: Fraction
-    max_index: int
-    a_values: tuple[Fraction, ...]
-
-    @classmethod
-    def from_table(cls, ev: EvaluatedTable) -> "TruncatedSeries":
-        return cls(
-            n_value=ev.n_value,
-            max_index=ev.max_index,
-            a_values=ev.a_values,
-        )
-
-    @classmethod
-    def for_index(cls, n_value: CoeffLike, m: int) -> "TruncatedSeries":
-        """Compute and evaluate the coefficient table in one step."""
-        table = compute_coefficients(m)
-        return cls.from_table(evaluate_table(table, Fraction(n_value)))
-
-    @cached_property
-    def even_floats(self) -> tuple[float, ...]:
-        """``a_0, a_2, a_4, ...`` each rounded once to a float."""
-        return tuple(float(c) for c in self.a_values[::2])
+# One class serves both names: evaluating a table at an index gives the
+# truncated series.
+TruncatedSeries = EvaluatedTable
 
 
 def eval_series_float(
@@ -69,6 +39,9 @@ def eval_series_float(
     scalar result bit for bit.  Overflow gives ``inf`` or ``nan`` silently,
     as it does for Python floats.
     """
+    # numpy is imported at first use, so the exact commands never load it
+    import numpy as np
+
     x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
     acc = 0.0
     with np.errstate(over="ignore", invalid="ignore"):

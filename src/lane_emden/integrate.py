@@ -30,12 +30,13 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, Optional
 
 from . import _kernels
 from .series import compute_coefficients
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Termination = Literal["crossed_zero", "reached_xmax"]
 
@@ -168,6 +169,9 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     else:
         termination = REACHED_XMAX
         zero = None
+    # numpy is imported at first use, so the exact commands never load it
+    import numpy as np
+
     return IntegrationResult(
         xs=np.frombuffer(xs),
         Fs=np.frombuffer(Fs),

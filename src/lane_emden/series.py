@@ -24,10 +24,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import _kernels
 from .exact import CoeffLike, IndexPolynomial, _power_truncated
+
+# Largest table order a command may ask for: ``--m`` of ``coeffs``,
+# ``eval`` and ``compare``, and ``bench --mmax``.  The kernel's time grows
+# about as m**5.4 here, to about 10 s at m = 400 on a 2-vCPU machine.
+# ``a[k]`` has degree k/2 - 1 in n, so the widest table printed has degree
+# 199, far below the parser's ``MAX_DEGREE`` = 1000, which a table would
+# reach only past k = 2000: every printed table parses back.
+MAX_ORDER = 400
 
 
 @dataclass(frozen=True)
@@ -45,11 +54,30 @@ class CoefficientTable:
 
 @dataclass(frozen=True)
 class EvaluatedTable:
-    """The ``a`` column of a :class:`CoefficientTable` at a fixed index."""
+    """The ``a`` column of a :class:`CoefficientTable` at a fixed index.
+
+    It is also the truncated series: the coefficients ``a_k`` through
+    ``x**max_index``.  ``evaluation.TruncatedSeries`` names this class.
+    """
 
     n_value: Fraction
     max_index: int
     a_values: tuple[Fraction, ...]
+
+    @classmethod
+    def from_table(cls, ev: EvaluatedTable) -> EvaluatedTable:
+        """``ev`` itself: an evaluated table already is the series."""
+        return ev
+
+    @classmethod
+    def for_index(cls, n_value: CoeffLike, m: int) -> EvaluatedTable:
+        """Compute and evaluate the coefficient table in one step."""
+        return evaluate_table(compute_coefficients(m), n_value)
+
+    @cached_property
+    def even_floats(self) -> tuple[float, ...]:
+        """``a_0, a_2, a_4, ...`` each rounded once to a float."""
+        return tuple(float(c) for c in self.a_values[::2])
 
 
 def compute_coefficients(m: int) -> CoefficientTable:

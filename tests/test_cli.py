@@ -1,15 +1,23 @@
 """Command line interface: formats, determinism, exit codes."""
 
 import hashlib
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from lane_emden import cli
+from lane_emden.parsing import MAX_DEGREE
+from lane_emden.series import MAX_ORDER
 
 GOLDEN_M6 = b"000;1\n002;-1/6\n004;n/120\n006;-n*(8*n - 5)/15120\n"
+INTEGRATE_N3_DX1E2_SHA256 = (
+    "8fc9e770aab2e2e713d6b74e116f608f59956df9feb36d2bcd2951926ce7d819"
+)
 
 
 def read_bytes(path):
@@ -153,12 +161,12 @@ class TestOutputBytes:
     hashes.  The ``1e-3`` grids are longer than one ``CHUNK_ROWS`` chunk.
     The ``coeffs`` digests are the benchmark's pinned ones at ``m = 10``
     and ``m = 140``, where the series kernel interpolates polynomials of
-    degree up to 70.
+    degree up to 70.  The ``eval`` digest is that of the file ``eval``
+    wrote with its own ``open()``, before it used the shared writer.
     """
 
     @pytest.mark.parametrize("argv, digest", [
-        (["integrate", "--n", "3", "--dx", "1e-2"],
-         "8fc9e770aab2e2e713d6b74e116f608f59956df9feb36d2bcd2951926ce7d819"),
+        (["integrate", "--n", "3", "--dx", "1e-2"], INTEGRATE_N3_DX1E2_SHA256),
         (["compare", "--n", "3", "--m", "10", "--dx", "1e-2"],
          "9ee1f5818bb42ca803e683a1ca95757ecdcc1833944285c733d104e1440e6dcd"),
         (["integrate", "--n", "3", "--dx", "1e-3"],
@@ -169,6 +177,8 @@ class TestOutputBytes:
          "acdd8af764755db6c3a90103eb87e7d5bae445b413727331270c66ea86414ccc"),
         (["coeffs", "--m", "140"],
          "b3097ff2a90b724614e5404f54bd80d5fbe5eb7f284dd380e9e275ceaa4d7da3"),
+        (["eval", "--n", "3/2", "--m", "12"],
+         "043658d097d9b5f16155eeef96a9b94d1bc31361e835eb546c98f8c6a1f48854"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
@@ -308,6 +318,27 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "unused.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--out", "unused.txt", "--m"],
+        ["eval", "--n", "3", "--m"],
+        ["compare", "--n", "3", "--dx", "0.1", "--out", "unused.csv",
+         "--m"],
+        ["bench", "--out", "unused.csv", "--mmax"],
+    ])
+    def test_order_is_bounded(self, argv, capsys):
+        # parses only: a table of order MAX_ORDER takes seconds to compute
+        parser = cli.build_parser()
+        args = parser.parse_args(argv + [str(MAX_ORDER)])
+        assert getattr(args, argv[-1].lstrip("-")) == MAX_ORDER
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [str(MAX_ORDER + 1)])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"argument {argv[-1]}: must be <= {MAX_ORDER}" in err
+        assert "Traceback" not in err
+        # a[k] has degree k/2 - 1: every table a command prints parses back
+        assert MAX_ORDER // 2 - 1 <= MAX_DEGREE
+
     def test_nonpositive_dx_rejected(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["integrate", "--n", "1", "--dx", "0",
@@ -345,3 +376,47 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "coeffs" in proc.stdout
+
+
+class TestColdStart:
+    """numpy is imported only by the commands that build float arrays.
+
+    Each case runs in a fresh interpreter, since this one has numpy loaded.
+    """
+
+    def run_child(self, child_env, *argvs):
+        code = (
+            "import json, sys; from lane_emden.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def test_exact_commands_leave_numpy_unloaded(self, child_env, tmp_path):
+        loaded = self.run_child(
+            child_env,
+            ["coeffs", "--m", "10", "--out", str(tmp_path / "c.txt")],
+            ["eval", "--n", "3", "--m", "6"],
+            ["bench", "--mmax", "4", "--step", "2", "--reps", "1",
+             "--out", str(tmp_path / "b.csv")],
+        )
+        assert loaded == "False"
+
+    def test_integrate_loads_numpy(self, child_env, tmp_path):
+        out = tmp_path / "r.csv"
+        loaded = self.run_child(
+            child_env,
+            ["integrate", "--n", "3", "--dx", "1e-2", "--out", str(out)],
+        )
+        assert loaded == "True"
+        digest = hashlib.sha256(read_bytes(out)).hexdigest()
+        assert digest == INTEGRATE_N3_DX1E2_SHA256
