@@ -3,8 +3,9 @@
 The series kernel keeps each coefficient polynomial in denominator-cleared
 form, ``a_k(n) = A_k(n) / d_k`` with ``A_k`` an integer coefficient list and
 ``d_k`` a positive integer coprime to the content of ``A_k``.  That reduced
-form is canonical, and it avoids per-term fraction normalization inside the
-recurrence
+form, made by ``exact._reduce``, is canonical and is the one
+``IndexPolynomial`` stores; it avoids per-term fraction normalization
+inside the recurrence
 
     a_k = -c_{k-2} / (k^2 + k)
     c_k = (1/k) * sum_{l=1..k} (l*(n + 1) - k) * a_l * c_{k-l}
@@ -23,23 +24,10 @@ values, instead of multiplying the polynomials coefficient by coefficient.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 from operator import add, mul, sub
 
-
-def _content(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
-def _reduce(nums, den):
-    g = gcd(_content(nums), den)
-    if g > 1:
-        nums = [v // g for v in nums]
-        den //= g
-    return nums, den
+from .exact import _reduce
 
 
 def _horner(nums, x: int) -> int:
@@ -133,10 +121,7 @@ def lee_series_tables(m: int):
             prods = map(mul, c_val[i], c_val[j])
             total = list(map(add, total, map(mul, prods, w)))
 
-        nums = _interpolate(total)
-        while len(nums) > 1 and nums[-1] == 0:
-            nums.pop()
-        nums, den = _reduce(nums, common * k)
+        nums, den = _reduce(_interpolate(total), common * k)
         c_num.append(nums)
         c_den.append(den)
         g = common * k // den

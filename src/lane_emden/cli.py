@@ -38,6 +38,10 @@ IO_ERROR = 1
 # floats and its joined text at once.
 CHUNK_ROWS = 4096
 
+# Most repetitions ``bench --reps`` may ask for: one at ``MAX_ORDER``
+# takes about 10 s, and the best of a few already drops scheduler noise.
+MAX_REPS = 100
+
 
 @dataclass(frozen=True)
 class BenchRecord:
@@ -210,6 +214,14 @@ def _order(text: str) -> int:
     return value
 
 
+def _reps(text: str) -> int:
+    """Bench repetitions (``--reps``): 1 through ``MAX_REPS``."""
+    value = int(text)
+    if not 1 <= value <= MAX_REPS:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_REPS}")
+    return value
+
+
 def _index(text: str) -> float:
     """Polytropic index of the float commands: finite and >= 0."""
     value = float(text)
@@ -276,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest table size to time")
     p.add_argument("--step", type=_nonneg_int, default=10,
                    help="table size increment (default 10)")
-    p.add_argument("--reps", type=_nonneg_int, default=3,
+    p.add_argument("--reps", type=_reps, default=3,
                    help="repetitions per size, minimum is kept (default 3)")
     p.add_argument("--out", required=True, help="output CSV path")
     return parser
@@ -303,8 +315,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "bench":
             if args.step < 2 or args.step > args.mmax:
                 parser.error("--step must satisfy 2 <= step <= mmax")
-            if args.reps < 1:
-                parser.error("--reps must be >= 1")
             cmd_bench(args.mmax, args.step, args.reps, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,18 +1,18 @@
 """Exact rational arithmetic and dense polynomials in the index symbol ``n``.
 
 All coefficient algebra in this package is exact.  Rational values are
-plain :class:`fractions.Fraction` instances (re-exported as ``Rational``),
-which already guarantee the canonical reduced form with a positive
-denominator.  :class:`IndexPolynomial` is a dense univariate polynomial in
-the polytropic index ``n`` with ``Fraction`` coefficients; it supports ring
-arithmetic, integer powers, exact Horner evaluation, and a canonical
-factored string form
+plain :class:`fractions.Fraction` instances (re-exported as ``Rational``).
+:class:`IndexPolynomial` is a dense polynomial in the polytropic index
+``n`` stored in the series kernel's reduced form: integer numerators over
+one positive denominator coprime to their content.  Ring arithmetic,
+integer powers and Horner evaluation run on those integers, and the
+canonical factored string form
 
     -n*(8*n - 5)/15120
 
-in which the highest power of ``n`` dividing the polynomial is pulled out,
-the remaining integer polynomial is primitive (content 1) with a positive
-leading coefficient, and a single positive integer denominator is kept.
+is read straight off them: the highest power of ``n`` dividing the
+polynomial is pulled out, and the remaining integer polynomial is
+primitive (content 1) with a positive leading coefficient.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
 
 CoeffLike = Union[int, Fraction]
 
@@ -48,47 +46,65 @@ def rat_arith(op: str, x: Rational, y: Rational) -> Rational:
     return func(Fraction(x), Fraction(y))
 
 
+def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
+    """``nums``/``den`` (``den >= 1``) reduced: trailing zeros popped in
+    place, and all divided by their gcd, so ``den`` becomes coprime to the
+    content of ``nums``."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g > 1:
+        nums = [v // g for v in nums]
+        den //= g
+    return nums, den
+
+
 class IndexPolynomial:
     """Dense polynomial in ``n`` with exact rational coefficients.
 
-    ``coefficients[j]`` holds the coefficient of ``n**j``.  Trailing zero
-    coefficients are trimmed on construction, so the zero polynomial has an
-    empty coefficient tuple and every other polynomial has a nonzero leading
-    coefficient.  Instances are immutable; all operations return new
-    polynomials in canonical form.
+    The coefficient of ``n**j`` is ``nums[j] / den``.  ``nums`` is a tuple
+    of ints with no trailing zero, so the zero polynomial has empty
+    ``nums``, and ``den`` is a positive int coprime to the content of
+    ``nums``; that form is canonical.  Instances are immutable; all
+    operations return new polynomials in canonical form.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coefficients: Iterable[CoeffLike] = ()):
-        coeffs = [
-            c if isinstance(c, Fraction) else Fraction(c) for c in coefficients
-        ]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+    def __new__(cls, coefficients: Iterable[CoeffLike] = ()):
+        coeffs = [Fraction(c) for c in coefficients]
+        den = lcm(*[c.denominator for c in coeffs])
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        return cls.from_integers(nums, den)
 
     @classmethod
-    def constant(cls, value: CoeffLike) -> "IndexPolynomial":
-        return cls((value,))
+    def from_integers(cls, nums: Iterable[int], den: int = 1):
+        """The polynomial ``sum nums[j] * n**j / den``, for ``den >= 1``."""
+        if den < 1:
+            raise ValueError("denominator must be >= 1")
+        poly = object.__new__(cls)
+        nums, poly.den = _reduce(list(nums), den)
+        poly.nums = tuple(nums)
+        return poly
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        """The coefficients of ``n**0, n**1, ...`` as fractions."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self.nums) - 1
 
     def coefficient(self, j: int) -> Fraction:
         """Coefficient of ``n**j`` (zero beyond the stored degree)."""
-        if 0 <= j < len(self._coeffs):
-            return self._coeffs[j]
+        if 0 <= j < len(self.nums):
+            return Fraction(self.nums[j], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.nums)
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -96,19 +112,19 @@ class IndexPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        den = lcm(self.den, other.den)
+        a = [v * (den // self.den) for v in self.nums]
+        b = [v * (den // other.den) for v in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            if c:
-                out[j] += c
-        return IndexPolynomial(out)
+        for j, v in enumerate(b):
+            a[j] += v
+        return self.from_integers(a, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IndexPolynomial":
-        return IndexPolynomial(-c if c else c for c in self._coeffs)
+        return self.from_integers([-v for v in self.nums], self.den)
 
     def __sub__(self, other) -> "IndexPolynomial":
         other = _coerce(other)
@@ -126,24 +142,16 @@ class IndexPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self.nums, other.nums
         if not a or not b:
             return IndexPolynomial()
-        if any(b[:-1]):
-            a, b = b, a
-        if not any(b[:-1]):
-            # ``b`` is a monomial c*n**d: scale ``a`` by c, shift it by d.
-            c = b[-1]
-            scaled = [ai * c if ai else ai for ai in a]
-            return IndexPolynomial([_ZERO] * (len(b) - 1) + scaled)
-        out = [_ZERO] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-        return IndexPolynomial(out)
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] += ai * bj
+        return self.from_integers(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -153,13 +161,13 @@ class IndexPolynomial:
             return NotImplemented
         if e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        a = self._coeffs
+        a, den, degree = self.nums, self.den**e, self.degree * e
         if any(a[:-1]):
-            return IndexPolynomial(_power_truncated(a, e, self.degree * e))
+            return self.from_integers(_int_power(a, e, degree), den)
         # Zero, a constant or a monomial c*n**d: raise c and scale d.
         if not a:
             return IndexPolynomial((0**e,))
-        return IndexPolynomial([_ZERO] * (self.degree * e) + [a[-1] ** e])
+        return self.from_integers([0] * degree + [a[-1] ** e], den)
 
     def __truediv__(self, scalar) -> "IndexPolynomial":
         if isinstance(scalar, (int, Fraction)):
@@ -170,41 +178,40 @@ class IndexPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self.nums, self.den))
 
     # -- evaluation and printing -------------------------------------------
 
     def evaluate(self, value: CoeffLike) -> Fraction:
         """Exact Horner evaluation at a rational point ``p/q``.
 
-        The coefficients are cleared to integers over their least common
-        denominator ``D``; Horner then runs on ints, adding the term of
-        ``n**j`` scaled by ``q**(d - j)``, and the sum is divided by
-        ``D * q**d`` once.
+        Horner runs on the integer numerators, adding the term of ``n**j``
+        scaled by ``q**(d - j)``, and the sum is divided by
+        ``den * q**d`` once.
         """
         value = Fraction(value)
-        coeffs = self._coeffs
-        if not coeffs:
+        nums = self.nums
+        if not nums:
             return Fraction(0)
         p, q = value.numerator, value.denominator
-        den = lcm(*(c.denominator for c in coeffs))
         acc = 0
         q_pow = 1
-        for c in reversed(coeffs):
-            acc = acc * p + c.numerator * (den // c.denominator) * q_pow
+        for v in reversed(nums):
+            acc = acc * p + v * q_pow
             q_pow *= q
-        return Fraction(acc, den * q ** (len(coeffs) - 1))
+        return Fraction(acc, self.den * q ** (len(nums) - 1))
 
     def __call__(self, value: CoeffLike) -> Fraction:
         return self.evaluate(value)
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self.nums:
             return "0"
-        sign, num, den, npow, prim = _factored_parts(self._coeffs)
+        sign, num, npow, prim = _factored_parts(self.nums)
+        den = self.den
         pieces = []
         if num != 1:
             pieces.append(str(num))
@@ -228,7 +235,7 @@ class IndexPolynomial:
         return ("-" if sign < 0 else "") + text
 
     def __repr__(self) -> str:
-        return f"IndexPolynomial({[str(c) for c in self._coeffs]})"
+        return f"IndexPolynomial({[str(c) for c in self.coefficients]})"
 
 
 def _coerce(value) -> "IndexPolynomial":
@@ -239,18 +246,9 @@ def _coerce(value) -> "IndexPolynomial":
     return NotImplemented
 
 
-def _power_truncated(b: Sequence[Fraction], q: int, m: int) -> list[Fraction]:
-    """Coefficients of ``(sum b_l x^l) ** q`` through ``x**m``, exactly.
-
-    The ``b`` are cleared to integers over their least common denominator
-    ``D``, the ``q`` truncated products run on ints, and each coefficient
-    is divided by ``D**q`` once at the end.
-    """
-    den = lcm(*(c.denominator for c in b))
-    terms = [
-        (j, c.numerator * (den // c.denominator))
-        for j, c in enumerate(b[: m + 1]) if c
-    ]
+def _int_power(nums: Sequence[int], q: int, m: int) -> list[int]:
+    """Integer coefficients of ``(sum nums[l] x^l) ** q`` through ``x**m``."""
+    terms = [(j, v) for j, v in enumerate(nums[: m + 1]) if v]
     power = [1] + [0] * m
     for _ in range(q):
         out = [0] * (m + 1)
@@ -261,32 +259,36 @@ def _power_truncated(b: Sequence[Fraction], q: int, m: int) -> list[Fraction]:
                         break
                     out[i + j] += p * v
         power = out
-    scale = den**q
-    return [Fraction(p, scale) for p in power]
+    return power
 
 
-def _factored_parts(coeffs):
-    """Decompose into sign * (num/den) * n**npow * primitive(n).
+def _power_truncated(b: Sequence[CoeffLike], q: int, m: int) -> list[Fraction]:
+    """Coefficients of ``(sum b_l x^l) ** q`` through ``x**m``, exactly.
 
-    ``primitive`` is a list of ints with content 1 and a positive leading
-    coefficient; its constant term is nonzero because every power of ``n``
-    was moved into ``npow``.
+    The ``b`` are cleared to integers over one denominator ``D``, as an
+    :class:`IndexPolynomial` stores them, the power runs on ints, and each
+    coefficient is divided by ``D**q`` once at the end.
+    """
+    base = IndexPolynomial(b[: m + 1])
+    scale = base.den**q
+    return [Fraction(p, scale) for p in _int_power(base.nums, q, m)]
+
+
+def _factored_parts(nums):
+    """Decompose reduced numerators into sign * num * n**npow * primitive(n).
+
+    ``num``, their content, is coprime to the denominator.  ``primitive``
+    is a list of ints with content 1 and a positive leading coefficient;
+    its constant term is nonzero because every power of ``n`` is in ``npow``.
     """
     npow = 0
-    while not coeffs[npow]:
+    while not nums[npow]:
         npow += 1
-    rest = coeffs[npow:]
-    den = 1
-    for c in rest:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in rest]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    sign = -1 if ints[-1] < 0 else 1
-    prim = [sign * v // content for v in ints]
-    scale = Fraction(content, den)
-    return sign, scale.numerator, scale.denominator, npow, prim
+    rest = nums[npow:]
+    content = gcd(*rest)
+    sign = -1 if rest[-1] < 0 else 1
+    prim = [sign * v // content for v in rest]
+    return sign, content, npow, prim
 
 
 def _render_primitive(prim) -> str:

@@ -85,18 +85,15 @@ def compute_coefficients(m: int) -> CoefficientTable:
 
     Odd indices are set to zero without evaluating the sum; even entries
     come from the recurrence run in denominator-cleared integer form by
-    ``_kernels.lee_series_tables``.
+    ``_kernels.lee_series_tables``, whose reduced integer lists and
+    denominators are the form :class:`IndexPolynomial` stores.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
     a_num, a_den, c_num, c_den = _kernels.lee_series_tables(m)
-    a = tuple(_wrap(nums, den) for nums, den in zip(a_num, a_den))
-    c = tuple(_wrap(nums, den) for nums, den in zip(c_num, c_den))
+    a = tuple(map(IndexPolynomial.from_integers, a_num, a_den))
+    c = tuple(map(IndexPolynomial.from_integers, c_num, c_den))
     return CoefficientTable(max_index=m, a=a, c=c)
-
-
-def _wrap(nums, den) -> IndexPolynomial:
-    return IndexPolynomial(Fraction(v, den) for v in nums)
 
 
 def miller_power(

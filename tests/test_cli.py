@@ -161,8 +161,11 @@ class TestOutputBytes:
     hashes.  The ``1e-3`` grids are longer than one ``CHUNK_ROWS`` chunk.
     The ``coeffs`` digests are the benchmark's pinned ones at ``m = 10``
     and ``m = 140``, where the series kernel interpolates polynomials of
-    degree up to 70.  The ``eval`` digest is that of the file ``eval``
-    wrote with its own ``open()``, before it used the shared writer.
+    degree up to 70.  The first ``eval`` digest is that of the file
+    ``eval`` wrote with its own ``open()``, before it used the shared
+    writer.  The last two cases, a CSV coefficient file and an ``eval`` at
+    a rational index with a denominator, were pinned from the output of
+    the ``Fraction``-backed ``IndexPolynomial``.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -179,6 +182,10 @@ class TestOutputBytes:
          "b3097ff2a90b724614e5404f54bd80d5fbe5eb7f284dd380e9e275ceaa4d7da3"),
         (["eval", "--n", "3/2", "--m", "12"],
          "043658d097d9b5f16155eeef96a9b94d1bc31361e835eb546c98f8c6a1f48854"),
+        (["coeffs", "--m", "28", "--format", "csv"],
+         "43ea0f1cc303a52acfc307abf39d828aa76b34ea876d19bd108118a8c9904fe3"),
+        (["eval", "--n", "7/3", "--m", "40"],
+         "c30f767f7bf290decdcc50c17dbc28c28cccefa493269c1638216645a57647cf"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
@@ -338,6 +345,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         # a[k] has degree k/2 - 1: every table a command prints parses back
         assert MAX_ORDER // 2 - 1 <= MAX_DEGREE
+
+    @pytest.mark.parametrize("bad", [0, cli.MAX_REPS + 1])
+    def test_reps_is_bounded(self, bad, capsys):
+        # parses only: MAX_REPS timings of a table would take a while
+        parser = cli.build_parser()
+        argv = ["bench", "--mmax", "10", "--out", "unused.csv", "--reps"]
+        args = parser.parse_args(argv + [str(cli.MAX_REPS)])
+        assert args.reps == cli.MAX_REPS
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + [str(bad)])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"argument --reps: must be between 1 and {cli.MAX_REPS}" in err
+        assert "Traceback" not in err
 
     def test_nonpositive_dx_rejected(self):
         with pytest.raises(SystemExit) as exc:

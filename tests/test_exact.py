@@ -16,6 +16,14 @@ monomials = st.builds(
     lambda c, d: IndexPolynomial((0,) * d + (c,)), rationals, st.integers(0, 5)
 )
 factors = st.one_of(polynomials, monomials)
+# (nums, den) with a shared factor, negatives and trailing zeros
+integer_forms = st.builds(
+    lambda vs, f, zeros, d: ([v * f for v in vs] + [0] * zeros, d * f),
+    st.lists(st.integers(-20, 20), max_size=6),
+    st.integers(1, 12),
+    st.integers(0, 3),
+    st.integers(1, 12),
+)
 
 
 class TestRatArith:
@@ -67,6 +75,24 @@ class TestConstruction:
     def test_int_coefficients_coerced(self):
         p = IndexPolynomial((1, -3))
         assert all(isinstance(c, Fraction) for c in p.coefficients)
+
+    @given(integer_forms)
+    def test_integer_constructor_matches_rationals(self, form):
+        nums, den = form
+        got = IndexPolynomial.from_integers(nums, den)
+        want = IndexPolynomial(Fraction(v, den) for v in nums)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.coefficients == want.coefficients
+
+    def test_integer_form_is_reduced(self):
+        p = IndexPolynomial.from_integers([0, 6, -4, 0], 10)
+        assert (p.nums, p.den) == ((0, 3, -2), 5)
+        assert IndexPolynomial.from_integers([0, 0], 7).den == 1
+
+    def test_integer_constructor_rejects_nonpositive_den(self):
+        with pytest.raises(ValueError):
+            IndexPolynomial.from_integers([1], 0)
 
     def test_coefficient_out_of_range_is_zero(self):
         p = IndexPolynomial((1, 2))
