@@ -11,16 +11,14 @@ Python.
 
 from ._backend import backend_name
 from .evaluation import (
-    TruncatedSeries,
     eval_series_exact,
     eval_series_float,
     residual_coefficients,
 )
-from .exact import N, IndexPolynomial, Rational, rat_arith
+from .exact import N, IndexPolynomial
 from .integrate import (
     IntegrationResult,
     IntegratorConfig,
-    first_zero,
     interpolate_zero,
     seed_values,
     solve_midpoint,
@@ -28,7 +26,7 @@ from .integrate import (
 from .parsing import ExpressionError, parse_expression
 from .series import (
     CoefficientTable,
-    EvaluatedTable,
+    TruncatedSeries,
     compute_coefficients,
     evaluate_table,
     miller_power,
@@ -40,25 +38,21 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CoefficientTable",
-    "EvaluatedTable",
     "ExpressionError",
     "IndexPolynomial",
     "IntegrationResult",
     "IntegratorConfig",
     "N",
-    "Rational",
     "TruncatedSeries",
     "backend_name",
     "compute_coefficients",
     "eval_series_exact",
     "eval_series_float",
     "evaluate_table",
-    "first_zero",
     "interpolate_zero",
     "miller_power",
     "mul_truncated",
     "parse_expression",
-    "rat_arith",
     "residual_coefficients",
     "seed_values",
     "solve_midpoint",

@@ -308,10 +308,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 cfg = IntegratorConfig(dx=args.dx, xmax=args.xmax)
             except ValueError as exc:
                 parser.error(str(exc))
-            if args.command == "integrate":
-                cmd_integrate(args.n, cfg, args.out)
-            else:
-                cmd_compare(args.n, args.m, cfg, args.out)
+            try:
+                if args.command == "integrate":
+                    cmd_integrate(args.n, cfg, args.out)
+                else:
+                    cmd_compare(args.n, args.m, cfg, args.out)
+            except OverflowError:
+                # a_k(n) outgrows a float; raised before --out is opened
+                parser.error("argument --n: a_k(n) overflows a float")
         elif args.command == "bench":
             if args.step < 2 or args.step > args.mmax:
                 parser.error("--step must satisfy 2 <= step <= mmax")

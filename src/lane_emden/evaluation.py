@@ -16,14 +16,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact import CoeffLike
-from .series import CoefficientTable, EvaluatedTable, _evaluated_power
+from .series import CoefficientTable, TruncatedSeries, _evaluated_power
 
 if TYPE_CHECKING:
     import numpy as np
-
-# One class serves both names: evaluating a table at an index gives the
-# truncated series.
-TruncatedSeries = EvaluatedTable
 
 
 def eval_series_float(
@@ -36,8 +32,9 @@ def eval_series_float(
     to float once per series.  ``x`` is a float or a float64 array; an
     array is evaluated elementwise by the same multiplies and adds in the
     same order (numpy fuses none of them), so each element equals the
-    scalar result bit for bit.  Overflow gives ``inf`` or ``nan`` silently,
-    as it does for Python floats.
+    scalar result bit for bit.  An ``x`` too large for the sum gives
+    ``inf`` or ``nan`` silently, as it does for Python floats; a
+    coefficient beyond the float range raises :class:`OverflowError`.
     """
     # numpy is imported at first use, so the exact commands never load it
     import numpy as np

@@ -1,7 +1,7 @@
 """Exact rational arithmetic and dense polynomials in the index symbol ``n``.
 
 All coefficient algebra in this package is exact.  Rational values are
-plain :class:`fractions.Fraction` instances (re-exported as ``Rational``).
+plain :class:`fractions.Fraction` instances.
 :class:`IndexPolynomial` is a dense polynomial in the polytropic index
 ``n`` stored in the series kernel's reduced form: integer numerators over
 one positive denominator coprime to their content.  Ring arithmetic,
@@ -17,33 +17,11 @@ primitive (content 1) with a positive leading coefficient.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 CoeffLike = Union[int, Fraction]
-
-_BINARY_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "div": operator.truediv,
-}
-
-
-def rat_arith(op: str, x: Rational, y: Rational) -> Rational:
-    """Apply one of the four exact rational operations ``add sub mul div``.
-
-    Division by zero raises :class:`ZeroDivisionError`.
-    """
-    try:
-        func = _BINARY_OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return func(Fraction(x), Fraction(y))
 
 
 def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -143,14 +121,7 @@ class IndexPolynomial:
         if other is NotImplemented:
             return NotImplemented
         a, b = self.nums, other.nums
-        if not a or not b:
-            return IndexPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
+        out = _int_mul(a, b, len(a) + len(b) - 2)
         return self.from_integers(out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -204,9 +175,6 @@ class IndexPolynomial:
             q_pow *= q
         return Fraction(acc, self.den * q ** (len(nums) - 1))
 
-    def __call__(self, value: CoeffLike) -> Fraction:
-        return self.evaluate(value)
-
     def __str__(self) -> str:
         if not self.nums:
             return "0"
@@ -246,19 +214,22 @@ def _coerce(value) -> "IndexPolynomial":
     return NotImplemented
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    """Integer coefficients of ``a(x) * b(x)`` through ``x**m``."""
+    out = [0] * (m + 1)
+    for i, ai in enumerate(a[: m + 1]):
+        if ai:
+            for j, bj in enumerate(b[: m + 1 - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
 def _int_power(nums: Sequence[int], q: int, m: int) -> list[int]:
     """Integer coefficients of ``(sum nums[l] x^l) ** q`` through ``x**m``."""
-    terms = [(j, v) for j, v in enumerate(nums[: m + 1]) if v]
     power = [1] + [0] * m
     for _ in range(q):
-        out = [0] * (m + 1)
-        for i, p in enumerate(power):
-            if p:
-                for j, v in terms:
-                    if i + j > m:
-                        break
-                    out[i + j] += p * v
-        power = out
+        power = _int_mul(power, nums, m)
     return power
 
 

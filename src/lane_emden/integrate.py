@@ -47,14 +47,16 @@ REACHED_XMAX: Termination = "reached_xmax"
 # sample this bounds a run's samples to about 1.2 GB.
 MAX_STEPS = 50_000_000
 
+# Order of the truncated series that seeds the grid points x <= 3*dx.
+SEED_ORDER = 10
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Grid step, safety cap, and series order for the startup region."""
+    """Grid step and safety cap of one integration run."""
 
     dx: float
     xmax: float = 50.0
-    seed_order: int = 10
 
     def __post_init__(self):
         if not math.isfinite(self.dx) or not self.dx > 0:
@@ -68,8 +70,6 @@ class IntegratorConfig:
             raise ValueError(
                 f"xmax/dx must not exceed {MAX_STEPS} grid steps"
             )
-        if self.seed_order < 2 or self.seed_order % 2:
-            raise ValueError("seed_order must be an even integer >= 2")
 
 
 @dataclass(frozen=True)
@@ -84,32 +84,22 @@ class IntegrationResult:
 
 
 @lru_cache(maxsize=None)
-def _seed_polys(seed_order: int):
-    return compute_coefficients(seed_order).a
+def _seed_polys():
+    """The even polynomials ``a_0, a_2, ..., a_SEED_ORDER``."""
+    return compute_coefficients(SEED_ORDER).a[::2]
 
 
-def _seed_coefficients(n: float, seed_order: int) -> list[float]:
-    """Even series coefficients a_0, a_2, ... evaluated at the index ``n``.
-
-    Evaluation is exact (``n`` is taken as the rational it represents) with
-    a single rounding at the end.
-    """
-    polys = _seed_polys(seed_order)
-    n_exact = Fraction(n)
-    return [float(p.evaluate(n_exact)) for p in polys[::2]]
-
-
-def seed_values(
-    n: float, x: float, seed_order: int = 10
-) -> tuple[float, float]:
+def seed_values(n: float, x: float) -> tuple[float, float]:
     """Series values (F, H) near the origin, H being the termwise derivative.
 
-    F is the truncated series of order ``seed_order``; H drops to order
-    ``seed_order - 1``.
+    F is the truncated series of order ``SEED_ORDER``; H drops to order
+    ``SEED_ORDER - 1``.  Each a_k is evaluated exactly at the rational ``n``
+    and rounded once; one beyond the float range raises OverflowError.
     """
     if x < 0:
         raise ValueError("seed evaluation needs x >= 0")
-    evens = _seed_coefficients(n, seed_order)
+    n_exact = Fraction(n)
+    evens = [float(p.evaluate(n_exact)) for p in _seed_polys()]
     u = x * x
     F = 0.0
     for c in reversed(evens):
@@ -145,10 +135,10 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     crossed = False
     x_reject = f_reject = 0.0
     for i in (1, 2, 3):
+        # x <= 3*dx < xmax: IntegratorConfig requires xmax > 3*dx, the
+        # same float product, so every seeded point lies inside the cap.
         x = i * dx
-        if x > cfg.xmax:
-            break
-        F, H = seed_values(n, x, cfg.seed_order)
+        F, H = seed_values(n, x)
         if F < 0.0:
             # Step too coarse for the seed region; treat like a rejected
             # stepped sample so the zero can still be bracketed.
@@ -179,8 +169,3 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
         termination=termination,
         first_zero=zero,
     )
-
-
-def first_zero(r: IntegrationResult) -> Optional[float]:
-    """First zero of F located by the run, or None if F never crossed."""
-    return r.first_zero

@@ -53,11 +53,11 @@ class CoefficientTable:
 
 
 @dataclass(frozen=True)
-class EvaluatedTable:
+class TruncatedSeries:
     """The ``a`` column of a :class:`CoefficientTable` at a fixed index.
 
-    It is also the truncated series: the coefficients ``a_k`` through
-    ``x**max_index``.  ``evaluation.TruncatedSeries`` names this class.
+    That column is the truncated series: the coefficients ``a_k`` through
+    ``x**max_index``, evaluated by :mod:`lane_emden.evaluation`.
     """
 
     n_value: Fraction
@@ -65,12 +65,7 @@ class EvaluatedTable:
     a_values: tuple[Fraction, ...]
 
     @classmethod
-    def from_table(cls, ev: EvaluatedTable) -> EvaluatedTable:
-        """``ev`` itself: an evaluated table already is the series."""
-        return ev
-
-    @classmethod
-    def for_index(cls, n_value: CoeffLike, m: int) -> EvaluatedTable:
+    def for_index(cls, n_value: CoeffLike, m: int) -> TruncatedSeries:
         """Compute and evaluate the coefficient table in one step."""
         return evaluate_table(compute_coefficients(m), n_value)
 
@@ -131,11 +126,11 @@ def miller_power(
     return out
 
 
-def evaluate_table(t: CoefficientTable, n_value: CoeffLike) -> EvaluatedTable:
+def evaluate_table(t: CoefficientTable, n_value: CoeffLike) -> TruncatedSeries:
     """Evaluate every ``a[k]`` exactly at a rational index value."""
     n_value = Fraction(n_value)
     values = tuple(poly.evaluate(n_value) for poly in t.a)
-    return EvaluatedTable(
+    return TruncatedSeries(
         n_value=n_value, max_index=t.max_index, a_values=values
     )
 

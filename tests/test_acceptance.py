@@ -14,11 +14,9 @@ import pytest
 
 from lane_emden import (
     IntegratorConfig,
-    TruncatedSeries,
     compute_coefficients,
     eval_series_float,
     evaluate_table,
-    first_zero,
     parse_expression,
     residual_coefficients,
     solve_midpoint,
@@ -116,14 +114,14 @@ def test_criterion_06_integrator_zeros():
         start = time.perf_counter()
         r = solve_midpoint(n_value, IntegratorConfig(dx=1e-3))
         elapsed = time.perf_counter() - start
-        checks.append(abs(first_zero(r) - target) < 1e-3)
+        checks.append(abs(r.first_zero - target) < 1e-3)
         checks.append(elapsed < 10.0)
     for n_value in (3.0, 1.5):
         start = time.perf_counter()
         coarse = solve_midpoint(n_value, IntegratorConfig(dx=1e-3))
         elapsed = time.perf_counter() - start
         oracle = solve_midpoint(n_value, IntegratorConfig(dx=1e-5))
-        checks.append(abs(first_zero(coarse) - first_zero(oracle)) < 5e-3)
+        checks.append(abs(coarse.first_zero - oracle.first_zero) < 5e-3)
         checks.append(elapsed < 10.0)
     ok = all(checks)
     report(6, "integrator-zeros", ok)
@@ -134,9 +132,7 @@ def test_criterion_07_series_numeric_agreement(table28):
     ok = True
     details = {}
     for n_value in (1.5, 2.0, 3.0):
-        series = TruncatedSeries.from_table(
-            evaluate_table(table28, Fraction(n_value))
-        )
+        series = evaluate_table(table28, Fraction(n_value))
         r = solve_midpoint(n_value, IntegratorConfig(dx=1e-3))
         errs = np.array([
             abs(eval_series_float(series, float(x)) - f)
@@ -196,7 +192,7 @@ def test_criterion_10_file_format(tmp_path):
 def test_criterion_11_literature_first_zeros():
     errs = {
         n_value: abs(
-            first_zero(solve_midpoint(n_value, IntegratorConfig(dx=1e-4)))
+            solve_midpoint(n_value, IntegratorConfig(dx=1e-4)).first_zero
             - xi1
         )
         for n_value, xi1 in LITERATURE_XI1.items()

@@ -326,6 +326,23 @@ class TestExitCodes:
         assert not (tmp_path / "unused.csv").exists()
 
     @pytest.mark.parametrize("argv", [
+        # the order-10 seed's coefficients are past the float range
+        ["integrate", "--n", "1e300", "--dx", "0.1"],
+        # the seed's are not, but a_28(n) of the m=28 series is
+        ["compare", "--n", "1e30", "--m", "28", "--dx", "0.1"],
+    ])
+    def test_float_coefficient_overflow_rejected(
+        self, argv, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "argument --n" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "unused.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["coeffs", "--out", "unused.txt", "--m"],
         ["eval", "--n", "3", "--m"],
         ["compare", "--n", "3", "--dx", "0.1", "--out", "unused.csv",

@@ -23,8 +23,8 @@ TABLE20 = compute_coefficients(20)
 
 class TestConstruction:
     def test_from_table(self):
-        e = evaluate_table(TABLE20, 3)
-        s = TruncatedSeries.from_table(e)
+        s = evaluate_table(TABLE20, 3)
+        assert isinstance(s, TruncatedSeries)
         assert s.n_value == 3
         assert s.max_index == 20
         assert s.a_values[4] == Fraction(1, 40)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lane_emden import IndexPolynomial, N, Rational, mul_truncated, rat_arith
+from lane_emden import IndexPolynomial, N, mul_truncated
 
 rationals = st.builds(
     Fraction, st.integers(-20, 20), st.integers(1, 20)
@@ -24,40 +24,6 @@ integer_forms = st.builds(
     st.integers(0, 3),
     st.integers(1, 12),
 )
-
-
-class TestRatArith:
-    def test_add(self):
-        assert rat_arith("add", Rational(1, 6), Rational(1, 3)) == Rational(1, 2)
-
-    def test_sub(self):
-        assert rat_arith("sub", Rational(1, 2), Rational(1, 3)) == Rational(1, 6)
-
-    def test_mul(self):
-        assert rat_arith("mul", Rational(-1, 6), Rational(-1, 6)) == Rational(1, 36)
-
-    def test_div(self):
-        assert rat_arith("div", Rational(1, 6), Rational(2)) == Rational(1, 12)
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rat_arith("div", Rational(1), Rational(0))
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            rat_arith("pow", Rational(1), Rational(2))
-
-    def test_results_are_canonical(self):
-        r = rat_arith("add", Rational(1, 4), Rational(1, 4))
-        assert (r.numerator, r.denominator) == (1, 2)
-
-    @given(rationals, rationals)
-    def test_add_commutes(self, x, y):
-        assert rat_arith("add", x, y) == rat_arith("add", y, x)
-
-    @given(rationals, rationals)
-    def test_sub_inverts_add(self, x, y):
-        assert rat_arith("sub", rat_arith("add", x, y), y) == x
 
 
 class TestConstruction:
@@ -203,9 +169,6 @@ class TestEvaluate:
         # -n*(8n - 5)/15120 at n = 1 is -3/15120 = -1/5040
         p = IndexPolynomial((0, Fraction(5, 15120), Fraction(-8, 15120)))
         assert p.evaluate(Fraction(1)) == Fraction(-1, 5040)
-
-    def test_callable(self):
-        assert N(Fraction(3, 2)) == Fraction(3, 2)
 
     @given(
         st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=12),

@@ -10,7 +10,6 @@ from lane_emden import (
     IntegratorConfig,
     TruncatedSeries,
     eval_series_float,
-    first_zero,
     interpolate_zero,
     seed_values,
     solve_midpoint,
@@ -24,7 +23,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = IntegratorConfig(dx=1e-3)
         assert cfg.xmax == 50.0
-        assert cfg.seed_order == 10
 
     @pytest.mark.parametrize("dx", [0.0, -1e-3])
     def test_step_must_be_positive(self, dx):
@@ -51,10 +49,6 @@ class TestConfig:
             IntegratorConfig(dx=50.0 / MAX_STEPS / 2, xmax=50.0)
         with pytest.raises(ValueError, match="grid steps"):
             IntegratorConfig(dx=5e-324, xmax=1.0)
-
-    def test_seed_order_must_be_positive_even(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(dx=1e-3, seed_order=7)
 
 
 class TestSeedValues:
@@ -102,19 +96,38 @@ class TestSolveMidpoint:
     def test_quadratic_zero(self):
         r = solve_midpoint(0.0, IntegratorConfig(dx=1e-3))
         assert r.termination == "crossed_zero"
-        assert first_zero(r) == pytest.approx(math.sqrt(6.0), abs=1e-3)
+        assert r.first_zero == pytest.approx(math.sqrt(6.0), abs=1e-3)
+
+    @pytest.mark.parametrize("dx", [0.1, 1 / 3, 1e-3])
+    def test_cap_just_past_seed_region(self, dx):
+        # the smallest cap IntegratorConfig accepts: every seeded point is
+        # stored and the first stepped one would pass it
+        cfg = IntegratorConfig(dx=dx, xmax=math.nextafter(3 * dx, math.inf))
+        r = solve_midpoint(3.0, cfg)
+        assert len(r.xs) == 4
+        assert r.xs[-1] == 3 * dx
+        assert r.termination == "reached_xmax"
+
+    def test_zero_inside_seed_region(self):
+        # index 0 at dx = 1: F = 1 - x**2/6 is negative at the third seed
+        r = solve_midpoint(0.0, IntegratorConfig(dx=1.0))
+        assert len(r.xs) == 3
+        assert r.termination == "crossed_zero"
+        f_reject, _ = seed_values(0.0, 3.0)
+        assert r.first_zero == interpolate_zero(2.0, r.Fs[2], 3.0, f_reject)
+        assert r.first_zero == pytest.approx(2.4)
 
     def test_sinc_zero(self):
         r = solve_midpoint(1.0, IntegratorConfig(dx=1e-3))
-        assert first_zero(r) == pytest.approx(math.pi, abs=1e-3)
+        assert r.first_zero == pytest.approx(math.pi, abs=1e-3)
 
     def test_sinc_zero_fine_step(self):
         r = solve_midpoint(1.0, IntegratorConfig(dx=1e-4))
-        assert first_zero(r) == pytest.approx(math.pi, abs=1e-6)
+        assert r.first_zero == pytest.approx(math.pi, abs=1e-6)
 
     def test_rational_index_zero(self):
         r = solve_midpoint(1.5, IntegratorConfig(dx=1e-3))
-        assert first_zero(r) == pytest.approx(3.65375, abs=1e-3)
+        assert r.first_zero == pytest.approx(3.65375, abs=1e-3)
 
     def test_critical_index_never_crosses(self):
         r = solve_midpoint(5.0, IntegratorConfig(dx=1e-2, xmax=20.0))
@@ -129,7 +142,7 @@ class TestSolveMidpoint:
 
     def test_first_zero_none_accessor(self):
         r = solve_midpoint(5.0, IntegratorConfig(dx=1e-1, xmax=10.0))
-        assert first_zero(r) is None
+        assert r.first_zero is None
 
     @pytest.mark.parametrize("n_value", [0.0, 1.0, 1.5, 2.0, 3.0])
     def test_profile_decreases(self, n_value):
@@ -165,7 +178,7 @@ class TestSolveMidpoint:
     def test_zero_against_fine_step_oracle(self):
         coarse = solve_midpoint(3.0, IntegratorConfig(dx=1e-3))
         fine = solve_midpoint(3.0, IntegratorConfig(dx=2e-4))
-        assert abs(first_zero(coarse) - first_zero(fine)) < 5e-3
+        assert abs(coarse.first_zero - fine.first_zero) < 5e-3
 
 
 class TestSampleStorage:
