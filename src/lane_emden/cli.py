@@ -10,21 +10,27 @@ bench       time the coefficient engine for growing table sizes (CSV)
 
 Exit codes: 0 on success, 2 for usage errors, 1 for I/O errors.  All CSV
 output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
-and floats at 17 significant digits (round-trip precision).
+and floats at 17 significant digits (round-trip precision).  The float CSVs
+of ``integrate`` and ``compare`` are formatted a chunk at a time on every
+CPU the process may use, in forked workers; the bytes are the same as from
+one process, which is what runs on one CPU or where ``fork`` is missing.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .evaluation import TruncatedSeries, eval_series_float
-from .integrate import IntegratorConfig, solve_midpoint
+from .integrate import IntegratorConfig, SeedDivergenceError, solve_midpoint
 from .series import MAX_ORDER, compute_coefficients, evaluate_table
 
 if TYPE_CHECKING:
@@ -61,7 +67,8 @@ class _FloatLines:
     each field) per element of the equal-length float ``columns``, then
     ``tail`` lines.  ``len`` counts them all; a slice with step 1 returns
     the list of just those lines, so a writer that takes ``CHUNK_ROWS``
-    lines at a time never holds the text of the whole file.
+    lines at a time never holds the text of the whole file.  Any other
+    step raises ``ValueError``.
     """
 
     def __init__(
@@ -80,7 +87,9 @@ class _FloatLines:
         return len(self.head) + self.rows + len(self.tail)
 
     def __getitem__(self, span: slice) -> list[str]:
-        start, stop, _ = span.indices(len(self))
+        start, stop, step = span.indices(len(self))
+        if step != 1:
+            raise ValueError(f"slice step must be 1, not {step}")
         lines = self.head[start:stop]
         lo = max(start - len(self.head), 0)
         hi = min(stop - len(self.head), self.rows)
@@ -140,6 +149,9 @@ def cmd_compare(
     import numpy as np
 
     series = TruncatedSeries.for_index(Fraction(n), m)
+    # Rounded before the run, so that an --n whose a_k(n) passes the float
+    # range is reported as such and not as a seed too coarse for --dx.
+    series.even_floats
     result = solve_midpoint(n, cfg)
     sv = eval_series_float(series, result.xs)
     columns = (result.xs, sv, result.Fs, np.abs(sv - result.Fs))
@@ -178,13 +190,125 @@ def cmd_bench(m_max: int, step: int, reps: int, out_path: str) -> None:
 def _write_lines(out_path: str, lines: list[str] | _FloatLines) -> None:
     """Write each of the (one or more) ``lines`` ending in ``\\n``.
 
-    ``lines`` is taken ``CHUNK_ROWS`` at a time, so a :class:`_FloatLines`
-    is formatted one chunk at a time as well.
+    ``lines`` is taken ``CHUNK_ROWS`` at a time, and the chunks are written
+    in order.  The chunks of a :class:`_FloatLines` are formatted by
+    :func:`_chunk_texts`, on every usable CPU; those of a list are joined
+    here, one after the other.
     """
-    with open(out_path, "w", encoding="ascii", newline="") as fh:
-        for start in range(0, len(lines), CHUNK_ROWS):
-            fh.write("\n".join(lines[start:start + CHUNK_ROWS]))
+    starts = range(0, len(lines), CHUNK_ROWS)
+    with open(out_path, "w", encoding="ascii", newline="") as fh, \
+            _chunk_texts(lines, starts) as texts:
+        for text in texts:
+            fh.write(text)
             fh.write("\n")
+
+
+def _chunk_text(lines: list[str] | _FloatLines, start: int) -> str:
+    """The chunk of ``lines`` that begins at ``start``, joined by ``\\n``."""
+    return "\n".join(lines[start:start + CHUNK_ROWS])
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _chunk_texts(lines: list[str] | _FloatLines, starts: range):
+    """Give an iterator over the :func:`_chunk_text` of each of ``starts``.
+
+    A :class:`_FloatLines` with chunks for two or more usable CPUs is
+    formatted by that many worker processes, forked so that they inherit
+    the view and no column is pickled.  Each worker formats one chunk at a
+    time, and gets the next one as soon as it hands its text back (see
+    :func:`_collect_chunks`), so a worker that the host runs slower takes
+    fewer chunks instead of holding up the others.  The workers are
+    stopped and joined when the block exits, however it exits.  Anything
+    else, and every float CSV where ``fork`` is missing or another thread
+    runs, maps :func:`_chunk_text` over ``starts`` in this process.
+    """
+    workers = 1
+    if isinstance(lines, _FloatLines):
+        workers = min(_usable_cpus(), len(starts))
+    if workers >= 2:
+        import multiprocessing
+        import threading
+
+        # fork copies only the calling thread, and a lock another thread
+        # holds stays locked in the child, so only a single thread forks
+        if (threading.active_count() > 1
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            workers = 1
+    if workers < 2:
+        yield map(partial(_chunk_text, lines), starts)
+        return
+    # No pool: it would receive the texts on a thread of its own, and that
+    # thread's heap kept several MB resident after each run.
+    context = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for _ in range(workers):
+            conn, child_conn = context.Pipe()
+            conns.append(conn)
+            proc = context.Process(
+                target=_format_chunks, args=(lines, child_conn)
+            )
+            proc.start()
+            procs.append(proc)
+            # the worker holds the only other end now, so should it die,
+            # the parent's recv raises EOFError instead of waiting
+            child_conn.close()
+        yield _collect_chunks(conns, starts)
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _format_chunks(lines: _FloatLines, conn) -> None:
+    """In a worker: send the text of each chunk start it gets, or the error."""
+    try:
+        while True:
+            conn.send(_chunk_text(lines, conn.recv()))
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _collect_chunks(conns: list, starts: range):
+    """The texts of the chunks at ``starts``, in order, from the workers.
+
+    A worker is sent the next chunk start whenever it has none, unless
+    that chunk lies ``2 * len(conns)`` chunks or more past the one to
+    yield next: the texts that came back early wait here, and the window
+    bounds them.
+    """
+    from multiprocessing.connection import wait
+
+    window = 2 * len(conns)
+    texts = {}  # chunk number -> text that came back ahead of its turn
+    held = {}  # worker connection -> the chunk number it formats
+    sent = 0
+    for i in range(len(starts)):
+        while i not in texts:
+            for conn in conns:
+                if conn not in held and sent < min(len(starts), i + window):
+                    conn.send(starts[sent])
+                    held[conn] = sent
+                    sent += 1
+            # chunk i is held: every chunk before it has come back, so a
+            # worker was free to take it above
+            for conn in wait(list(held)):
+                text = conn.recv()
+                if isinstance(text, Exception):
+                    raise text
+                texts[held.pop(conn)] = text
+        yield texts.pop(i)
 
 
 def _rational(text: str) -> Fraction:
@@ -316,6 +440,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except OverflowError:
                 # a_k(n) outgrows a float; raised before --out is opened
                 parser.error("argument --n: a_k(n) overflows a float")
+            except SeedDivergenceError as exc:
+                # raised before --out is opened, too
+                parser.error(f"argument --dx: {exc}")
         elif args.command == "bench":
             if args.step < 2 or args.step > args.mmax:
                 parser.error("--step must satisfy 2 <= step <= mmax")

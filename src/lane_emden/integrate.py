@@ -51,6 +51,10 @@ MAX_STEPS = 50_000_000
 SEED_ORDER = 10
 
 
+class SeedDivergenceError(ValueError):
+    """The truncated seed series is plainly not converging at its ``x``."""
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Grid step and safety cap of one integration run."""
@@ -95,12 +99,23 @@ def seed_values(n: float, x: float) -> tuple[float, float]:
     F is the truncated series of order ``SEED_ORDER``; H drops to order
     ``SEED_ORDER - 1``.  Each a_k is evaluated exactly at the rational ``n``
     and rounded once; one beyond the float range raises OverflowError.
+
+    The series' radius of convergence shrinks as ``n`` grows.  Where its
+    last term ``a_10 x**10`` is larger in magnitude than the one before,
+    the truncation is plainly not converging, and SeedDivergenceError is
+    raised instead of returning values that mean nothing.
     """
     if x < 0:
         raise ValueError("seed evaluation needs x >= 0")
     n_exact = Fraction(n)
     evens = [float(p.evaluate(n_exact)) for p in _seed_polys()]
     u = x * x
+    # |a_10 x**10| > |a_8 x**8|, divided by x**8; for n > 0, a_8(n) != 0
+    if abs(evens[-1]) * u > abs(evens[-2]):
+        raise SeedDivergenceError(
+            f"the order-{SEED_ORDER} seed series does not converge at "
+            f"x={x!r} for n={n!r}; use a smaller step"
+        )
     F = 0.0
     for c in reversed(evens):
         F = F * u + c
@@ -121,9 +136,11 @@ def interpolate_zero(
 def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     """Integrate the equation for index ``n`` on the grid defined by ``cfg``.
 
-    Grid points with x <= 3*dx take their values from :func:`seed_values`;
-    every later point is one midpoint step.  A sample with F < 0 is never
-    stored: it only feeds the interpolated ``first_zero`` estimate.
+    Grid points with x <= 3*dx take their values from :func:`seed_values`,
+    which raises SeedDivergenceError where ``dx`` is too coarse for the
+    series at this ``n``; every later point is one midpoint step.  A sample
+    with F < 0 is never stored: it only feeds the interpolated
+    ``first_zero`` estimate.
     """
     if n < 0:
         raise ValueError("index n must be nonnegative")

@@ -3,8 +3,12 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +21,12 @@ from lane_emden.series import MAX_ORDER
 GOLDEN_M6 = b"000;1\n002;-1/6\n004;n/120\n006;-n*(8*n - 5)/15120\n"
 INTEGRATE_N3_DX1E2_SHA256 = (
     "8fc9e770aab2e2e713d6b74e116f608f59956df9feb36d2bcd2951926ce7d819"
+)
+INTEGRATE_N3_DX1E3_SHA256 = (
+    "07b6d081a85ef1d7f1c14e1da5de932ddadf9a20608f20fae40981092f73ec3d"
+)
+COMPARE_N3_M10_DX1E3_SHA256 = (
+    "400d978875c35ad216155469a3426df95b8a9e3f057048ac29989c6c33b80a2e"
 )
 
 
@@ -172,10 +182,9 @@ class TestOutputBytes:
         (["integrate", "--n", "3", "--dx", "1e-2"], INTEGRATE_N3_DX1E2_SHA256),
         (["compare", "--n", "3", "--m", "10", "--dx", "1e-2"],
          "9ee1f5818bb42ca803e683a1ca95757ecdcc1833944285c733d104e1440e6dcd"),
-        (["integrate", "--n", "3", "--dx", "1e-3"],
-         "07b6d081a85ef1d7f1c14e1da5de932ddadf9a20608f20fae40981092f73ec3d"),
+        (["integrate", "--n", "3", "--dx", "1e-3"], INTEGRATE_N3_DX1E3_SHA256),
         (["compare", "--n", "3", "--m", "10", "--dx", "1e-3"],
-         "400d978875c35ad216155469a3426df95b8a9e3f057048ac29989c6c33b80a2e"),
+         COMPARE_N3_M10_DX1E3_SHA256),
         (["coeffs", "--m", "10"],
          "acdd8af764755db6c3a90103eb87e7d5bae445b413727331270c66ea86414ccc"),
         (["coeffs", "--m", "140"],
@@ -204,6 +213,170 @@ class TestFloatLines:
         for start in range(len(eager) + 1):
             for stop in range(len(eager) + 2):
                 assert lines[start:stop] == eager[start:stop]
+
+    @pytest.mark.parametrize("span", [slice(None, None, 2),
+                                      slice(None, None, -1)])
+    def test_step_other_than_one_rejected(self, span):
+        lines = cli._FloatLines(["x"], (np.arange(4.0),))
+        with pytest.raises(ValueError, match="step"):
+            lines[span]
+
+
+class TestFormattingWorkers:
+    """Float CSVs formatted by forked workers or in process.
+
+    ``CHUNK_ROWS`` is cut to a few dozen rows, so that the pinned ``1e-3``
+    grids span many chunks, and the usable CPU count is forced.
+    """
+
+    CASES = [
+        (["integrate", "--n", "3", "--dx", "1e-3"], INTEGRATE_N3_DX1E3_SHA256),
+        (["compare", "--n", "3", "--m", "10", "--dx", "1e-3"],
+         COMPARE_N3_M10_DX1E3_SHA256),
+    ]
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
+
+        def force(count):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+
+        return force
+
+    @pytest.fixture
+    def no_workers(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("workers were started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+    def run(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        return hashlib.sha256(read_bytes(out)).hexdigest()
+
+    @pytest.mark.parametrize("argv, digest", CASES)
+    def test_two_workers(self, tmp_path, cpus, argv, digest):
+        cpus(2)
+        assert self.run(tmp_path, argv) == digest
+
+    def test_slow_worker_takes_fewer_chunks(self):
+        # two thread "workers" behind real pipes, one 20 times slower
+        starts = range(0, 40 * 30, 40)
+        window = 4  # 2 * workers
+        log, taken = [], {}
+
+        def work(conn, name, delay):
+            taken[name] = []
+            try:
+                while True:
+                    start = conn.recv()
+                    log.append(("sent", start // 40))
+                    taken[name].append(start)
+                    time.sleep(delay)
+                    conn.send(f"chunk {start}")
+            except EOFError:
+                conn.close()
+
+        conns, threads = [], []
+        for name, delay in (("fast", 0.001), ("slow", 0.02)):
+            conn, child = multiprocessing.Pipe()
+            conns.append(conn)
+            thread = threading.Thread(target=work, args=(child, name, delay))
+            thread.start()
+            threads.append(thread)
+        texts = []
+        try:
+            for text in cli._collect_chunks(conns, starts):
+                texts.append(text)
+                log.append(("yielded", None))
+        finally:
+            for conn in conns:
+                conn.close()
+            for thread in threads:
+                thread.join(10)
+        assert texts == [f"chunk {start}" for start in starts]
+        assert len(taken["slow"]) < len(taken["fast"])
+        yielded = 0
+        for event, chunk in log:
+            if event == "yielded":
+                yielded += 1
+            else:
+                assert chunk < yielded + window
+
+    @pytest.mark.parametrize("argv, digest", CASES)
+    def test_one_cpu_formats_in_process(
+        self, tmp_path, cpus, no_workers, argv, digest
+    ):
+        cpus(1)
+        assert self.run(tmp_path, argv) == digest
+
+    def test_no_fork_formats_in_process(
+        self, tmp_path, cpus, no_workers, monkeypatch
+    ):
+        cpus(2)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        argv, digest = self.CASES[0]
+        assert self.run(tmp_path, argv) == digest
+
+    def test_other_thread_formats_in_process(self, tmp_path, cpus, no_workers):
+        cpus(2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            argv, digest = self.CASES[0]
+            assert self.run(tmp_path, argv) == digest
+        finally:
+            release.set()
+            waiter.join(60)
+        assert not waiter.is_alive()
+
+    def test_line_lists_never_start_workers(self, tmp_path, cpus, no_workers):
+        cpus(2)
+        out = tmp_path / "c.txt"
+        assert cli.main(["coeffs", "--m", "140", "--out", str(out)]) == 0
+        digest = hashlib.sha256(read_bytes(out)).hexdigest()
+        assert digest == (
+            "b3097ff2a90b724614e5404f54bd80d5fbe5eb7f284dd380e9e275ceaa4d7da3"
+        )
+
+    def test_worker_error_surfaces(self, tmp_path, cpus, monkeypatch):
+        # only the workers call _chunk_text when there are two of them
+        def fail(lines, start):
+            raise LookupError(f"chunk at {start}")
+
+        cpus(2)
+        monkeypatch.setattr(cli, "_chunk_text", fail)
+        argv, _ = self.CASES[0]
+        with pytest.raises(LookupError, match="chunk at"):
+            cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_death_surfaces(self, tmp_path, cpus, monkeypatch):
+        # a worker that exits without sending its chunk closes its pipe
+        def die(lines, start):
+            os._exit(3)
+
+        cpus(2)
+        monkeypatch.setattr(cli, "_chunk_text", die)
+        argv, _ = self.CASES[0]
+        with pytest.raises(EOFError):
+            cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    def test_write_error_is_io_error(self, cpus, capsys):
+        cpus(2)
+        argv, _ = self.CASES[0]
+        assert cli.main(argv + ["--out", "/dev/full"]) == cli.IO_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 class TestMemory:
@@ -341,6 +514,29 @@ class TestExitCodes:
         assert "argument --n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "unused.csv").exists()
+
+    @pytest.mark.parametrize("n_value", ["1000", "1e5", "1e30"])
+    def test_seed_outside_series_radius_rejected(
+        self, n_value, capsys, tmp_path
+    ):
+        # for n >= 5 there is no zero, yet at this step the order-10 seed
+        # used to go negative and report one
+        out = tmp_path / "unused.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["integrate", "--n", n_value, "--dx", "0.1",
+                      "--out", str(out)])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "argument --dx" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_seed_inside_series_radius_accepted(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert cli.main(["integrate", "--n", "3", "--dx", "0.1",
+                         "--out", str(out)]) == 0
+        zero = float(read_lines(out)[-1].removeprefix("# first_zero="))
+        assert zero == pytest.approx(6.9, abs=0.1)
 
     @pytest.mark.parametrize("argv", [
         ["coeffs", "--out", "unused.txt", "--m"],

@@ -16,7 +16,7 @@ from lane_emden import (
 )
 from lane_emden import _kernels
 from lane_emden._backend import kernels
-from lane_emden.integrate import MAX_STEPS
+from lane_emden.integrate import MAX_STEPS, SeedDivergenceError
 
 
 class TestConfig:
@@ -72,6 +72,25 @@ class TestSeedValues:
         fm, _ = seed_values(1.5, 0.05 - 1e-6)
         assert h == pytest.approx((fp - fm) / 2e-6, abs=1e-8)
 
+    @pytest.mark.parametrize("n_value, x", [
+        (1000.0, 0.3), (1e5, 0.1), (1e30, 0.1),
+        # sin(x)/x converges everywhere, but ten terms do not reach x = 11
+        (1.0, 11.0),
+    ])
+    def test_diverging_truncation_rejected(self, n_value, x):
+        # seed_values(1000.0, 0.3) gave F = -13.39 for a solution in (0, 1]
+        with pytest.raises(SeedDivergenceError, match="does not converge"):
+            seed_values(n_value, x)
+
+    @pytest.mark.parametrize("n_value, x", [
+        (0.0, 30.0), (1.0, 10.0), (3.0, 2.5), (1000.0, 0.11),
+    ])
+    def test_converging_truncation_accepted(self, n_value, x):
+        # n = 0 has a_8 = a_10 = 0; the others are just inside the bound
+        # |a_10| x**2 <= |a_8| (x = 10.49, 2.57 and 0.1155 at the bound)
+        f, _ = seed_values(n_value, x)
+        assert math.isfinite(f)
+
 
 class TestInterpolateZero:
     def test_midpoint_of_symmetric_bracket(self):
@@ -116,6 +135,13 @@ class TestSolveMidpoint:
         f_reject, _ = seed_values(0.0, 3.0)
         assert r.first_zero == interpolate_zero(2.0, r.Fs[2], 3.0, f_reject)
         assert r.first_zero == pytest.approx(2.4)
+
+    def test_seed_too_coarse_for_index_rejected(self):
+        with pytest.raises(SeedDivergenceError):
+            solve_midpoint(1000.0, IntegratorConfig(dx=0.1))
+        r = solve_midpoint(1000.0, IntegratorConfig(dx=0.01, xmax=1.0))
+        assert r.termination == "reached_xmax"
+        assert r.first_zero is None
 
     def test_sinc_zero(self):
         r = solve_midpoint(1.0, IntegratorConfig(dx=1e-3))
