@@ -29,8 +29,6 @@ from .series import (
     TruncatedSeries,
     compute_coefficients,
     evaluate_table,
-    miller_power,
-    mul_truncated,
     verify_c_by_power,
 )
 
@@ -50,8 +48,6 @@ __all__ = [
     "eval_series_float",
     "evaluate_table",
     "interpolate_zero",
-    "miller_power",
-    "mul_truncated",
     "parse_expression",
     "residual_coefficients",
     "seed_values",

@@ -24,17 +24,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
-from .evaluation import TruncatedSeries, eval_series_float
+from .evaluation import eval_series_float
 from .integrate import IntegratorConfig, SeedDivergenceError, solve_midpoint
 from .series import MAX_ORDER, compute_coefficients, evaluate_table
-
-if TYPE_CHECKING:
-    import numpy as np
 
 USAGE_ERROR = 2
 IO_ERROR = 1
@@ -49,13 +45,6 @@ CHUNK_ROWS = 4096
 MAX_REPS = 100
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    m: int
-    seconds: float
-    reps: int
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
@@ -64,7 +53,9 @@ class _FloatLines:
     """The lines of a float CSV, formatted only when sliced.
 
     ``head`` lines, then one ``.17g`` row (the text :func:`_fmt` gives for
-    each field) per element of the equal-length float ``columns``, then
+    each field) per element of the equal-length float ``columns``, each
+    an ``array("d")`` or an ndarray (anything with slices and
+    ``.tolist()``), then
     ``tail`` lines.  ``len`` counts them all; a slice with step 1 returns
     the list of just those lines, so a writer that takes ``CHUNK_ROWS``
     lines at a time never holds the text of the whole file.  Any other
@@ -74,7 +65,7 @@ class _FloatLines:
     def __init__(
         self,
         head: list[str],
-        columns: Sequence[np.ndarray],
+        columns: Sequence[Sequence[float]],
         tail: Sequence[str] = (),
     ):
         self.head = head
@@ -145,10 +136,10 @@ def cmd_compare(
     n: float, m: int, cfg: IntegratorConfig, out_path: str
 ) -> None:
     """Series vs. numeric solution over the integration grid (CSV)."""
-    # numpy is imported at first use, so the exact commands never load it
+    # numpy is imported at first use: compare is the one command to load it
     import numpy as np
 
-    series = TruncatedSeries.for_index(Fraction(n), m)
+    series = evaluate_table(compute_coefficients(m), Fraction(n))
     # Rounded before the run, so that an --n whose a_k(n) passes the float
     # range is reported as such and not as a seed too coarse for --dx.
     series.even_floats
@@ -158,19 +149,17 @@ def cmd_compare(
     _write_lines(out_path, _FloatLines(["x,series,numeric,abs_err"], columns))
 
 
-def run_bench(m_max: int, step: int, reps: int) -> list[BenchRecord]:
+def run_bench(m_max: int, step: int, reps: int) -> list[tuple[int, float]]:
     """Best-of-``reps`` wall-clock timing of the coefficient engine.
 
-    The minimum over repetitions suppresses scheduler noise; runs are
-    strictly sequential so timings are not perturbed by each other.
+    Returns ``(m, seconds)`` pairs.  The minimum over repetitions
+    suppresses scheduler noise; runs are strictly sequential so timings
+    are not perturbed by each other.
     """
-    records = []
-    for m in range(step, m_max + 1, step):
-        best = min(
-            _time_once(m) for _ in range(reps)
-        )
-        records.append(BenchRecord(m=m, seconds=best, reps=reps))
-    return records
+    return [
+        (m, min(_time_once(m) for _ in range(reps)))
+        for m in range(step, m_max + 1, step)
+    ]
 
 
 def _time_once(m: int) -> float:
@@ -180,10 +169,9 @@ def _time_once(m: int) -> float:
 
 
 def cmd_bench(m_max: int, step: int, reps: int, out_path: str) -> None:
-    records = run_bench(m_max, step, reps)
     lines = ["m,seconds"]
-    for rec in records:
-        lines.append(f"{rec.m},{_fmt(rec.seconds)}")
+    for m, seconds in run_bench(m_max, step, reps):
+        lines.append(f"{m},{_fmt(seconds)}")
     _write_lines(out_path, lines)
 
 

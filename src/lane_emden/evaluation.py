@@ -29,14 +29,16 @@ def eval_series_float(
 
     Horner evaluation over ``u = x**2`` using only the even coefficients
     (odd ones are identically zero), which are converted from ``Fraction``
-    to float once per series.  ``x`` is a float or a float64 array; an
-    array is evaluated elementwise by the same multiplies and adds in the
+    to float once per series.  ``x`` is a float or any one-dimensional
+    float64 buffer (an ndarray, or an ``array("d")`` such as the samples of
+    :func:`~lane_emden.integrate.solve_midpoint`, viewed without a copy);
+    an array is evaluated elementwise by the same multiplies and adds in the
     same order (numpy fuses none of them), so each element equals the
     scalar result bit for bit.  An ``x`` too large for the sum gives
     ``inf`` or ``nan`` silently, as it does for Python floats; a
     coefficient beyond the float range raises :class:`OverflowError`.
     """
-    # numpy is imported at first use, so the exact commands never load it
+    # numpy is imported at first use: of the commands, only compare loads it
     import numpy as np
 
     x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)

@@ -20,7 +20,8 @@ the rejected sample) or when the next grid point would pass ``xmax``
 solution stays positive forever).
 
 The samples are stored in three ``array("d")`` buffers, 24 bytes a grid
-point, and the result's arrays are views of those buffers, not copies.
+point, and the result holds those buffers themselves, not copies.  They
+export the buffer protocol, so an array library can view them in place.
 """
 
 from __future__ import annotations
@@ -30,13 +31,10 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Literal, Optional
+from typing import Literal, Optional
 
 from . import _kernels
 from .series import compute_coefficients
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Termination = Literal["crossed_zero", "reached_xmax"]
 
@@ -78,11 +76,15 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Sampled solution on the uniform grid plus termination info."""
+    """Sampled solution on the uniform grid plus termination info.
 
-    xs: np.ndarray
-    Fs: np.ndarray
-    Hs: np.ndarray
+    ``xs``, ``Fs`` and ``Hs`` are the ``array("d")`` buffers the run
+    filled, one element per stored grid point.
+    """
+
+    xs: array
+    Fs: array
+    Hs: array
     termination: Termination
     first_zero: Optional[float] = field(default=None)
 
@@ -140,10 +142,11 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     which raises SeedDivergenceError where ``dx`` is too coarse for the
     series at this ``n``; every later point is one midpoint step.  A sample
     with F < 0 is never stored: it only feeds the interpolated
-    ``first_zero`` estimate.
+    ``first_zero`` estimate.  A negative or non-finite ``n`` raises
+    ValueError before any work is done.
     """
-    if n < 0:
-        raise ValueError("index n must be nonnegative")
+    if not (math.isfinite(n) and n >= 0):
+        raise ValueError("index n must be finite and nonnegative")
     dx = float(cfg.dx)
     xs = array("d", [0.0])
     Fs = array("d", [1.0])
@@ -176,13 +179,4 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     else:
         termination = REACHED_XMAX
         zero = None
-    # numpy is imported at first use, so the exact commands never load it
-    import numpy as np
-
-    return IntegrationResult(
-        xs=np.frombuffer(xs),
-        Fs=np.frombuffer(Fs),
-        Hs=np.frombuffer(Hs),
-        termination=termination,
-        first_zero=zero,
-    )
+    return IntegrationResult(xs, Fs, Hs, termination, zero)

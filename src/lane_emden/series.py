@@ -13,11 +13,9 @@ recurrence
     c_k = 1/(k * a_0) * sum_{l=1..k} (l*(n + 1) - k) * a_l * c_{k-l}.
 
 :func:`compute_coefficients` runs this recurrence symbolically, producing
-``a_k`` and ``c_k`` as exact polynomials in the index ``n``;
-:func:`miller_power` is the generic numeric form of the power recurrence
-for an arbitrary base series; and :func:`verify_c_by_power` cross-checks
-the ``c`` table against brute-force repeated series multiplication, which
-never touches the recurrence.
+``a_k`` and ``c_k`` as exact polynomials in the index ``n``, and
+:func:`verify_c_by_power` cross-checks the ``c`` table against brute-force
+repeated series multiplication, which never touches the recurrence.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from . import _kernels
 from .exact import CoeffLike, IndexPolynomial, _power_truncated
@@ -64,11 +61,6 @@ class TruncatedSeries:
     max_index: int
     a_values: tuple[Fraction, ...]
 
-    @classmethod
-    def for_index(cls, n_value: CoeffLike, m: int) -> TruncatedSeries:
-        """Compute and evaluate the coefficient table in one step."""
-        return evaluate_table(compute_coefficients(m), n_value)
-
     @cached_property
     def even_floats(self) -> tuple[float, ...]:
         """``a_0, a_2, a_4, ...`` each rounded once to a float."""
@@ -91,41 +83,6 @@ def compute_coefficients(m: int) -> CoefficientTable:
     return CoefficientTable(max_index=m, a=a, c=c)
 
 
-def miller_power(
-    b: Sequence[CoeffLike], q: CoeffLike, m: int
-) -> list[Fraction]:
-    """Coefficients of ``(sum b_l x^l) ** q`` through order ``m``.
-
-    Uses the power recurrence with the full ``1/(k * b_0)`` divisor.  ``q``
-    may be any integer; a non-integer ``q`` is exact only when ``b[0] == 1``
-    and is rejected otherwise.
-    """
-    if m < 0:
-        raise ValueError("truncation order must be nonnegative")
-    b = [Fraction(v) for v in b]
-    if not b or not b[0]:
-        raise ValueError("leading series coefficient must be nonzero")
-    q = Fraction(q)
-    if q.denominator == 1:
-        c0 = b[0] ** int(q)
-    elif b[0] == 1:
-        c0 = Fraction(1)
-    else:
-        raise ValueError(
-            "non-integer exponent requires a leading coefficient of 1"
-        )
-    out = [c0] + [Fraction(0)] * m
-    for k in range(1, m + 1):
-        acc = Fraction(0)
-        for l in range(1, k + 1):
-            bl = b[l] if l < len(b) else None
-            if not bl:
-                continue
-            acc += (l * (q + 1) - k) * bl * out[k - l]
-        out[k] = acc / (k * b[0])
-    return out
-
-
 def evaluate_table(t: CoefficientTable, n_value: CoeffLike) -> TruncatedSeries:
     """Evaluate every ``a[k]`` exactly at a rational index value."""
     n_value = Fraction(n_value)
@@ -133,21 +90,6 @@ def evaluate_table(t: CoefficientTable, n_value: CoeffLike) -> TruncatedSeries:
     return TruncatedSeries(
         n_value=n_value, max_index=t.max_index, a_values=values
     )
-
-
-def mul_truncated(
-    u: Sequence[Fraction], v: Sequence[Fraction], m: int
-) -> list[Fraction]:
-    """Exact product of two coefficient sequences, truncated at order ``m``."""
-    out = [Fraction(0)] * (m + 1)
-    for i, ui in enumerate(u[: m + 1]):
-        if not ui:
-            continue
-        for j in range(min(len(v), m + 1 - i)):
-            vj = v[j]
-            if vj:
-                out[i + j] += ui * vj
-    return out
 
 
 def verify_c_by_power(

@@ -134,12 +134,13 @@ def test_criterion_07_series_numeric_agreement(table28):
     for n_value in (1.5, 2.0, 3.0):
         series = evaluate_table(table28, Fraction(n_value))
         r = solve_midpoint(n_value, IntegratorConfig(dx=1e-3))
+        xs = np.frombuffer(r.xs)
         errs = np.array([
-            abs(eval_series_float(series, float(x)) - f)
+            abs(eval_series_float(series, x) - f)
             for x, f in zip(r.xs, r.Fs)
         ])
-        near = errs[r.xs <= 1.0].max()
-        tail = errs[r.xs >= 3.0]
+        near = errs[xs <= 1.0].max()
+        tail = errs[xs >= 3.0]
         diverges = tail.size >= 2 and (np.diff(tail) > 0.0).all()
         details[n_value] = (near, diverges)
         ok = ok and near <= 1e-6 and diverges
@@ -163,19 +164,19 @@ def test_criterion_09_bench_table():
     start = time.perf_counter()
     records = run_bench(140, 20, 2)
     total = time.perf_counter() - start
+    ms = [m for m, _ in records]
+    secs = [seconds for _, seconds in records]
     well_formed = (
-        [r.m for r in records] == list(range(20, 141, 20))
-        and all(r.seconds >= 0.0 for r in records)
+        ms == list(range(20, 141, 20)) and all(s >= 0.0 for s in secs)
     )
     # broadly nondecreasing: dips are allowed only below a noise floor
     floor = 5e-3
-    secs = [r.seconds for r in records]
     trend = all(
         b >= a or b < floor for a, b in zip(secs, secs[1:])
     ) and secs[-1] > secs[0]
     ok = well_formed and trend and total < 60.0
     report(9, "bench-table-m140", ok)
-    assert well_formed, f"rows: {[(r.m, r.seconds) for r in records]}"
+    assert well_formed, f"rows: {records}"
     assert trend, f"timings not broadly nondecreasing: {secs}"
     assert total < 60.0, f"bench took {total:.1f}s"
 

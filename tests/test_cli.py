@@ -613,7 +613,7 @@ class TestEntryPoint:
 
 
 class TestColdStart:
-    """numpy is imported only by the commands that build float arrays.
+    """numpy is imported only where array math runs: by ``compare``.
 
     Each case runs in a fresh interpreter, since this one has numpy loaded.
     """
@@ -645,12 +645,23 @@ class TestColdStart:
         )
         assert loaded == "False"
 
-    def test_integrate_loads_numpy(self, child_env, tmp_path):
+    def test_integrate_leaves_numpy_unloaded(self, child_env, tmp_path):
         out = tmp_path / "r.csv"
         loaded = self.run_child(
             child_env,
             ["integrate", "--n", "3", "--dx", "1e-2", "--out", str(out)],
         )
-        assert loaded == "True"
+        assert loaded == "False"
         digest = hashlib.sha256(read_bytes(out)).hexdigest()
         assert digest == INTEGRATE_N3_DX1E2_SHA256
+
+    def test_compare_loads_numpy(self, child_env, tmp_path):
+        out = tmp_path / "cmp.csv"
+        loaded = self.run_child(
+            child_env,
+            ["compare", "--n", "3", "--m", "10", "--dx", "1e-3",
+             "--out", str(out)],
+        )
+        assert loaded == "True"
+        digest = hashlib.sha256(read_bytes(out)).hexdigest()
+        assert digest == COMPARE_N3_M10_DX1E3_SHA256

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -29,42 +30,42 @@ class TestConstruction:
         assert s.max_index == 20
         assert s.a_values[4] == Fraction(1, 40)
 
-    def test_for_index(self):
-        s = TruncatedSeries.for_index(3, 4)
+    def test_low_order_values(self):
+        s = evaluate_table(compute_coefficients(4), 3)
         assert s.a_values == (
             Fraction(1), Fraction(0), Fraction(-1, 6), Fraction(0),
             Fraction(1, 40),
         )
 
     def test_rational_index(self):
-        s = TruncatedSeries.for_index(Fraction(3, 2), 4)
+        s = evaluate_table(compute_coefficients(4), Fraction(3, 2))
         assert s.a_values[4] == Fraction(1, 80)
 
 
 class TestFloatEvaluation:
     def test_center(self):
-        s = TruncatedSeries.for_index(3, 8)
+        s = evaluate_table(compute_coefficients(8), 3)
         assert eval_series_float(s, 0.0) == 1.0
 
     def test_quadratic_solution_vanishes_at_its_root(self):
-        s = TruncatedSeries.for_index(0, 2)
+        s = evaluate_table(compute_coefficients(2), 0)
         assert abs(eval_series_float(s, math.sqrt(6.0))) < 1e-12
 
     def test_sinc_solution(self):
-        s = TruncatedSeries.for_index(1, 28)
+        s = evaluate_table(compute_coefficients(28), 1)
         for x in (0.25, 1.0, 2.0, 3.0):
             assert eval_series_float(s, x) == pytest.approx(
                 math.sin(x) / x, abs=1e-12
             )
 
     def test_even_function(self):
-        s = TruncatedSeries.for_index(3, 20)
+        s = evaluate_table(compute_coefficients(20), 3)
         for x in (0.3, 1.7):
             assert eval_series_float(s, x) == eval_series_float(s, -x)
 
     def test_truncation_error_is_next_term(self):
-        s8 = TruncatedSeries.for_index(3, 8)
-        s10 = TruncatedSeries.for_index(3, 10)
+        s8 = evaluate_table(compute_coefficients(8), 3)
+        s10 = evaluate_table(compute_coefficients(10), 3)
         for x in (0.125, 0.5, 1.0):
             diff = abs(eval_series_float(s8, x) - eval_series_float(s10, x))
             bound = 1.01 * abs(float(s10.a_values[10])) * x**10 + 1e-15
@@ -76,7 +77,7 @@ class TestFloatEvaluation:
         st.lists(st.floats(allow_nan=False), min_size=1, max_size=16),
     )
     def test_array_matches_scalar_bitwise(self, n_value, m, xs):
-        s = TruncatedSeries.for_index(n_value, m)
+        s = evaluate_table(compute_coefficients(m), n_value)
         # 1e20 overflows inside the Horner loop (from m = 16 at n = 3),
         # 1e200 already in x*x.
         xs = xs + [1e20, 1e200]
@@ -92,18 +93,28 @@ class TestFloatEvaluation:
             assert np.float64(scalar).tobytes() == value.tobytes(), x
 
 
+    def test_sample_buffer_matches_array(self):
+        # the samples solve_midpoint returns go in as they are, unconverted
+        s = evaluate_table(compute_coefficients(10), 3)
+        xs = array("d", [0.0, 0.5, 1.0, 2.5])
+        assert np.shares_memory(np.asarray(xs), xs)
+        got = eval_series_float(s, xs)
+        want = eval_series_float(s, np.array(xs.tolist()))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestExactEvaluation:
     def test_half_point_value(self):
         # 1 - (1/6)(1/2)**2 + (1/40)(1/2)**4 at index 3
-        s = TruncatedSeries.for_index(3, 4)
+        s = evaluate_table(compute_coefficients(4), 3)
         assert eval_series_exact(s, Fraction(1, 2)) == Fraction(1843, 1920)
 
     def test_center(self):
-        s = TruncatedSeries.for_index(2, 12)
+        s = evaluate_table(compute_coefficients(12), 2)
         assert eval_series_exact(s, Fraction(0)) == 1
 
     def test_low_order(self):
-        s = TruncatedSeries.for_index(1, 2)
+        s = evaluate_table(compute_coefficients(2), 1)
         assert eval_series_exact(s, Fraction(1)) == Fraction(5, 6)
 
     @given(
@@ -111,7 +122,7 @@ class TestExactEvaluation:
         st.builds(Fraction, st.integers(0, 8), st.integers(1, 4)),
     )
     def test_float_tracks_exact(self, n_value, x):
-        s = TruncatedSeries.for_index(n_value, 12)
+        s = evaluate_table(compute_coefficients(12), n_value)
         exact = float(eval_series_exact(s, x))
         approx = eval_series_float(s, float(x))
         assert approx == pytest.approx(exact, rel=1e-13, abs=1e-13)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lane_emden import IndexPolynomial, N, mul_truncated
+from lane_emden import IndexPolynomial, N
+
+from reference_series import mul_truncated
 
 rationals = st.builds(
     Fraction, st.integers(-20, 20), st.integers(1, 20)

@@ -12,14 +12,13 @@ from lane_emden import (
     N,
     compute_coefficients,
     evaluate_table,
-    miller_power,
-    mul_truncated,
     parse_expression,
     verify_c_by_power,
 )
 from lane_emden._kernels import _interpolate, lee_series_tables
 from lane_emden.exact import _power_truncated
 
+from reference_series import miller_power, mul_truncated
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
 
 TABLE28 = compute_coefficients(28)
