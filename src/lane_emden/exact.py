@@ -90,14 +90,7 @@ class IndexPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = lcm(self.den, other.den)
-        a = [v * (den // self.den) for v in self.nums]
-        b = [v * (den // other.den) for v in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for j, v in enumerate(b):
-            a[j] += v
-        return self.from_integers(a, den)
+        return _signed_sum(((1, self), (1, other)))
 
     __radd__ = __add__
 
@@ -108,13 +101,13 @@ class IndexPolynomial:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _signed_sum(((1, self), (-1, other)))
 
     def __rsub__(self, other) -> "IndexPolynomial":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _signed_sum(((1, other), (-1, self)))
 
     def __mul__(self, other) -> "IndexPolynomial":
         other = _coerce(other)
@@ -212,6 +205,21 @@ def _coerce(value) -> "IndexPolynomial":
     if isinstance(value, (int, Fraction)):
         return IndexPolynomial((value,))
     return NotImplemented
+
+
+def _signed_sum(
+    terms: Sequence[tuple[int, IndexPolynomial]],
+) -> IndexPolynomial:
+    """``sum sign * p`` over ``(sign, p)`` pairs with signs +-1: one lcm of
+    the denominators, one pass of scaled numerators and one reduction."""
+    den = lcm(*[p.den for _, p in terms])
+    out = [0] * max(len(p.nums) for _, p in terms)
+    for sign, p in terms:
+        scale = sign * (den // p.den)
+        for j, v in enumerate(p.nums):
+            if v:
+                out[j] += v * scale
+    return IndexPolynomial.from_integers(out, den)
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:

@@ -5,17 +5,18 @@ any expression over integers and the symbol ``n`` built from ``+ - * / **``
 and parentheses, e.g. ``-n*(8*n - 5)/15120``.  Division is only defined by
 a nonzero constant and exponents must be nonnegative integer constants, so
 every valid expression denotes a polynomial in ``n`` with exact rational
-coefficients.  An expression whose degree, powered coefficients or integer
-literals exceed the bounds below raises :class:`ExpressionError` before the
-work is done.
+coefficients.  Each sum is added up once, with one reduction, so a
+canonical string costs work near linear in its length.  An expression
+whose degree, powered coefficients, integer literals or nesting exceed the
+bounds below raises :class:`ExpressionError` before the work is done.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import gcd
 
-from .exact import IndexPolynomial, N
+from .exact import IndexPolynomial, N, _signed_sum
 
 
 class ExpressionError(ValueError):
@@ -31,44 +32,43 @@ class ExpressionError(ValueError):
 # degree k/2 - 1, so a table would need k > 2000 to print a degree above
 # MAX_DEGREE, and its coefficients stay far below MAX_BITS.
 # MAX_LITERAL_DIGITS is CPython's default limit for converting a decimal
-# string to an int.
+# string to an int.  MAX_DEPTH bounds the nesting of parentheses, signs
+# and exponents, which the parser follows by recursion, well inside
+# Python's recursion limit; canonical strings nest 3 deep
+# (``n*(n**2 + 1)``).
 MAX_DEGREE = 1000
 MAX_BITS = 1 << 20
 MAX_LITERAL_DIGITS = 4300
+MAX_DEPTH = 100
 
 
-_TOKEN = re.compile(r"\d+|\*\*|[n()+\-*/]")
-
-
-def _reject_nonspace(text: str, start: int, end: int) -> None:
-    for i in range(start, end):
-        if not text[i].isspace():
-            raise ExpressionError(
-                f"unexpected character {text[i]!r} at position {i}"
-            )
+# A token, or any other character that is not whitespace.
+_TOKEN = re.compile(r"(\d+|\*\*|[n()+\-*/])|(\S)")
 
 
 def _tokenize(text: str):
+    """The tokens of ``text`` as ``(token, position)`` pairs."""
     tokens = []
-    pos = 0
     for match in _TOKEN.finditer(text):
-        _reject_nonspace(text, pos, match.start())
-        tokens.append((match.group(), match.start()))
-        pos = match.end()
-    _reject_nonspace(text, pos, len(text))
+        token, other = match.groups()
+        if other is not None:
+            raise ExpressionError(
+                f"unexpected character {other!r} at position {match.start()}"
+            )
+        tokens.append((token, match.start()))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
+        # What peek() reads: the tokens, then None at the end.
+        self.kinds = [token for token, _ in self.tokens] + [None]
         self.index = 0
+        self.depth = 0
 
     def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
+        return self.kinds[self.index]
 
     def take(self):
         token, pos = self.tokens[self.index]
@@ -85,12 +85,11 @@ class _Parser:
 
     # expr := term (('+' | '-') term)*
     def expr(self) -> IndexPolynomial:
-        result = self.term()
+        terms = [(1, self.term())]
         while self.peek() in ("+", "-"):
             op, _ = self.take()
-            rhs = self.term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+            terms.append((1 if op == "+" else -1, self.term()))
+        return _signed_sum(terms) if len(terms) > 1 else terms[0][1]
 
     # term := unary (('*' | '/') unary)*
     def term(self) -> IndexPolynomial:
@@ -110,12 +109,22 @@ class _Parser:
         return result
 
     # unary := ('+' | '-') unary | power
+    # Parentheses, signs and exponents all nest through here.
     def unary(self) -> IndexPolynomial:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            pos = None
+            if self.peek() is not None:
+                pos = self.tokens[self.index][1]
+            self.error(f"nesting deeper than {MAX_DEPTH}", pos)
         if self.peek() in ("+", "-"):
             op, _ = self.take()
             value = self.unary()
-            return value if op == "+" else -value
-        return self.power()
+            value = value if op == "+" else -value
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     # power := atom ('**' unary)?   -- exponent must be a constant integer >= 0
     def power(self) -> IndexPolynomial:
@@ -125,13 +134,13 @@ class _Parser:
             exponent = self.unary()
             if exponent.degree >= 1:
                 self.error("exponent must be an integer constant", pos)
-            value = exponent.coefficient(0)
-            if value.denominator != 1 or value < 0:
+            value = exponent.nums[0] if exponent.nums else 0
+            if exponent.den != 1 or value < 0:
                 self.error("exponent must be a nonnegative integer", pos)
             self.bound_degree(base.degree * value, pos)
             if _bits(base) * value > MAX_BITS:
                 self.error(f"coefficients above {MAX_BITS} bits", pos)
-            return base ** int(value)
+            return base**value
         return base
 
     # atom := INT | 'n' | '(' expr ')'
@@ -146,7 +155,7 @@ class _Parser:
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
                     pos,
                 )
-            return IndexPolynomial((Fraction(int(token)),))
+            return IndexPolynomial.from_integers((int(token),))
         if token == "n":
             return N
         if token == "(":
@@ -159,12 +168,13 @@ class _Parser:
 
 
 def _bits(p: IndexPolynomial) -> int:
-    """Largest numerator plus denominator bit length of a coefficient."""
-    return max(
-        (c.numerator.bit_length() + c.denominator.bit_length()
-         for c in p.coefficients),
-        default=0,
-    )
+    """Largest numerator plus denominator bit length of a coefficient in
+    lowest terms."""
+    den, most = p.den, 0
+    for v in p.nums:
+        g = gcd(v, den)
+        most = max(most, (v // g).bit_length() + (den // g).bit_length())
+    return most
 
 
 def parse_expression(text: str) -> IndexPolynomial:

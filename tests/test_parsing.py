@@ -10,9 +10,15 @@ from lane_emden import (
     ExpressionError,
     IndexPolynomial,
     N,
+    compute_coefficients,
     parse_expression,
 )
-from lane_emden.parsing import MAX_BITS, MAX_DEGREE, MAX_LITERAL_DIGITS
+from lane_emden.parsing import (
+    MAX_BITS,
+    MAX_DEGREE,
+    MAX_DEPTH,
+    MAX_LITERAL_DIGITS,
+)
 
 from reference_series import mul_truncated
 from reference_tables import SYMBOLIC_A
@@ -124,7 +130,31 @@ class TestErrors:
     def test_error_reports_position(self):
         with pytest.raises(ExpressionError) as exc:
             parse_expression("n + @")
-        assert "4" in str(exc.value)
+        assert str(exc.value) == "unexpected character '@' at position 4"
+
+    @pytest.mark.parametrize("text, char, pos", [
+        ("@n + 1", "@", 0),
+        ("n + 1.5", ".", 5),
+        ("n*(n + 1)/2;", ";", 11),
+        ("n\u2003+\xa0x", "x", 4),
+        ("\u3000\t\n\u00e9", "\u00e9", 3),
+    ])
+    def test_unexpected_character_message(self, text, char, pos):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == (
+            f"unexpected character {char!r} at position {pos}"
+        )
+
+    def test_first_bad_character_is_reported(self):
+        # The whole text is tokenized before parsing, so a bad character
+        # wins over a syntax error that comes before it.
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("n + + * x")
+        assert str(exc.value) == "unexpected character 'x' at position 8"
+
+    def test_unicode_whitespace_separates_tokens(self):
+        assert parse_expression("n\xa0+ 1") == N + 1
 
     def test_is_value_error(self):
         assert issubclass(ExpressionError, ValueError)
@@ -153,6 +183,24 @@ class TestBounds:
         with pytest.raises(ExpressionError, match="bits"):
             parse_expression("((2**1000)**1000)**1000")
 
+    @pytest.mark.parametrize("text, pos", [
+        ("(" * 200 + "n" + ")" * 200, MAX_DEPTH),
+        ("-" * 1000 + "n", MAX_DEPTH),
+        ("n**" * 2000 + "1", 3 * MAX_DEPTH),
+    ])
+    def test_nesting_depth(self, text, pos):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == (
+            f"nesting deeper than {MAX_DEPTH} at position {pos}"
+        )
+
+    def test_nesting_at_the_bound(self):
+        depth = MAX_DEPTH - 1
+        assert parse_expression("(" * depth + "n" + ")" * depth) == N
+        assert parse_expression("-" * depth + "n") == (-1) ** depth * N
+        assert parse_expression("1**" * depth + "1") == 1
+
     def test_literal_digits(self):
         longest = "9" * MAX_LITERAL_DIGITS
         assert parse_expression(longest) == int(longest)
@@ -175,6 +223,13 @@ class TestRoundTrip:
     @given(long_polynomials)
     def test_str_parse_identity_long(self, p):
         assert parse_expression(str(p)) == p
+
+    def test_tables_at_coeffs_size(self):
+        # The `coeffs` workload's order: degrees up to 70 and coefficients
+        # of up to about 2000 bits.
+        table = compute_coefficients(140)
+        for k, p in enumerate(table.a + table.c):
+            assert parse_expression(str(p)) == p, k
 
 
 def _power_by_multiplication(q, e):
@@ -202,3 +257,99 @@ class TestPower:
     ])
     def test_edge_cases(self, text, want):
         assert parse_expression(text) == want
+
+
+# Random expression trees, each drawn as (tokens, value, level): the tokens
+# of its text, its value built by IndexPolynomial's ring operators, and the
+# grammar level it parses at, so a child is parenthesised only where the
+# grammar needs it.
+SUM, TERM, UNARY, POWER, ATOM = range(5)
+whitespace = st.sampled_from(["", " ", "  ", "\t", "\n", " \t\n "])
+
+
+def _at_level(node, level):
+    tokens, _, own = node
+    return tokens if own >= level else ("(", *tokens, ")")
+
+
+def _signed(args):
+    sign, node = args
+    value = node[1] if sign == "+" else -node[1]
+    return (sign, *_at_level(node, UNARY)), value, UNARY
+
+
+def _chain(level, operand_level, apply):
+    """Left-associative chain: the first operand at ``level`` and the rest
+    at ``operand_level``."""
+
+    def build(args):
+        first, rest = args
+        tokens, value = list(_at_level(first, level)), first[1]
+        for op, node in rest:
+            tokens += [op, *_at_level(node, operand_level)]
+            value = apply(op, value, node[1])
+        return tuple(tokens), value, level
+
+    return build
+
+
+def _sum(op, a, b):
+    return a + b if op == "+" else a - b
+
+
+def _product(op, a, b):
+    return a * b if op == "*" else a / b
+
+
+def _power(args):
+    base, e = args
+    value = base[1]
+    # Keep the sizes small: a large base is raised to the first power only.
+    if value.degree > 8 or max(map(abs, value.nums), default=0) > 2**64:
+        e = 1
+    return (*_at_level(base, ATOM), "**", str(e)), value**e, POWER
+
+
+leaves = st.one_of(
+    st.integers(0, 99).map(lambda k: ((str(k),), IndexPolynomial((k,)), ATOM)),
+    st.just((("n",), N, ATOM)),
+    st.builds(
+        lambda k, d: ((str(k), "/", str(d)), IndexPolynomial((k,)) / d, TERM),
+        st.integers(0, 99), st.integers(1, 30),
+    ),
+)
+divisors = st.builds(
+    lambda sign, k: ((sign, str(k)) if sign else (str(k),),
+                     -k if sign else k, UNARY if sign else ATOM),
+    st.sampled_from(["", "-"]),
+    st.integers(1, 30),
+)
+
+
+def _extend(nodes):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-"), nodes).map(_signed),
+        st.tuples(
+            nodes, st.lists(st.tuples(st.sampled_from("+-"), nodes),
+                            min_size=1, max_size=4),
+        ).map(_chain(SUM, TERM, _sum)),
+        st.tuples(
+            nodes, st.lists(st.one_of(st.tuples(st.just("*"), nodes),
+                                      st.tuples(st.just("/"), divisors)),
+                            min_size=1, max_size=3),
+        ).map(_chain(TERM, UNARY, _product)),
+        st.tuples(nodes, st.integers(0, 3)).map(_power),
+    )
+
+
+trees = st.recursive(leaves, _extend, max_leaves=12)
+
+
+class TestExpressionTrees:
+    @given(trees, st.data())
+    def test_parse_matches_ring_operators(self, tree, data):
+        tokens, value, _ = tree
+        gaps = data.draw(st.lists(whitespace, min_size=len(tokens) + 1,
+                                  max_size=len(tokens) + 1))
+        text = gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:]))
+        assert parse_expression(text) == value
