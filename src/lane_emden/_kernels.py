@@ -24,6 +24,7 @@ values, instead of multiplying the polynomials coefficient by coefficient.
 
 from __future__ import annotations
 
+import sys
 from math import lcm
 from operator import add, mul, sub
 
@@ -131,7 +132,8 @@ def lee_series_tables(m: int):
     return a_num[:end], a_den[:end], c_num[:end], c_den[:end]
 
 
-def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs):
+def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs,
+                   pause: int = sys.maxsize):
     """Advance the midpoint grid in place from the last stored sample.
 
     Appends to ``xs``/``Fs``/``Hs`` until the solution would cross zero or
@@ -139,6 +141,11 @@ def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs):
     f_stop)``: when ``crossed`` is true, ``(x_stop, f_stop)`` is the
     rejected nonpositive sample (never appended) for zero interpolation;
     otherwise both are ``0.0`` and meaningless.
+
+    Returns ``None`` instead, paused, once ``len(xs)`` reaches ``pause``.
+    The step reads nothing but the last stored sample, so a call that
+    resumes a paused grid continues it bit for bit as if it had never
+    paused.
 
     One step from the sample ``(x, F, H)``:
 
@@ -156,27 +163,32 @@ def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs):
     n = float(n)
     dx = float(dx)
     xmax = float(xmax)
+    # 0.5 * dx * H is (0.5 * dx) * H: hoisting h changes no bit
+    h = 0.5 * dx
     integer_n = n == int(n)
+    x_append, F_append, H_append = xs.append, Fs.append, Hs.append
     x = xs[-1]
     F = Fs[-1]
     H = Hs[-1]
-    while True:
-        if x + dx > xmax:
+    for _ in range(pause - len(xs)):
+        x_next = x + dx
+        if x_next > xmax:
             return False, 0.0, 0.0
-        F_half = F + 0.5 * dx * H
-        H_half = H + 0.5 * dx * (-(F**n) - (2.0 / x) * H)
+        F_half = F + h * H
+        H_half = H + h * (-(F**n) - (2.0 / x) * H)
         F_next = F + dx * H_half
-        x_half = x + 0.5 * dx
+        x_half = x + h
         if not integer_n and F_half <= 0.0:
             if F_next < 0.0:
-                return True, x + dx, F_next
+                return True, x_next, F_next
             return True, x_half, F_half
         H_next = H + dx * (-(F_half**n) - (2.0 / x_half) * H_half)
         if F_next < 0.0:
-            return True, x + dx, F_next
-        x = x + dx
+            return True, x_next, F_next
+        x = x_next
         F = F_next
         H = H_next
-        xs.append(x)
-        Fs.append(F)
-        Hs.append(H)
+        x_append(x)
+        F_append(F)
+        H_append(H)
+    return None

@@ -11,9 +11,11 @@ bench       time the coefficient engine for growing table sizes (CSV)
 Exit codes: 0 on success, 2 for usage errors, 1 for I/O errors.  All CSV
 output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
 and floats at 17 significant digits (round-trip precision).  The float CSVs
-of ``integrate`` and ``compare`` are formatted a chunk at a time on every
-CPU the process may use, in forked workers; the bytes are the same as from
-one process, which is what runs on one CPU or where ``fork`` is missing.
+of ``integrate`` and ``compare`` are formatted a chunk at a time in forked
+workers on the CPUs the process may use; ``integrate`` writes its rows while
+the grid is still being stepped, with one CPU left to the stepping.  The
+bytes are the same as from one process, which is what runs on one CPU or
+where ``fork`` is missing.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Sequence
 
 from .evaluation import eval_series_float
-from .integrate import IntegratorConfig, SeedDivergenceError, solve_midpoint
+from .integrate import (
+    IntegratorConfig,
+    SeedDivergenceError,
+    _midpoint_run,
+    solve_midpoint,
+)
 from .series import MAX_ORDER, compute_coefficients, evaluate_table
 
 USAGE_ERROR = 2
@@ -37,7 +42,8 @@ IO_ERROR = 1
 
 # Lines formatted, joined and written at a time.  Larger chunks gain
 # little speed and raise peak memory: each holds its columns as Python
-# floats and its joined text at once.
+# floats and its joined text at once.  A float CSV's header and summary
+# lines are written apart from its chunks of rows.
 CHUNK_ROWS = 4096
 
 # Most repetitions ``bench --reps`` may ask for: one at ``MAX_ORDER``
@@ -47,50 +53,6 @@ MAX_REPS = 100
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
-
-
-class _FloatLines:
-    """The lines of a float CSV, formatted only when sliced.
-
-    ``head`` lines, then one ``.17g`` row (the text :func:`_fmt` gives for
-    each field) per element of the equal-length float ``columns``, each
-    an ``array("d")`` or an ndarray (anything with slices and
-    ``.tolist()``), then
-    ``tail`` lines.  ``len`` counts them all; a slice with step 1 returns
-    the list of just those lines, so a writer that takes ``CHUNK_ROWS``
-    lines at a time never holds the text of the whole file.  Any other
-    step raises ``ValueError``.
-    """
-
-    def __init__(
-        self,
-        head: list[str],
-        columns: Sequence[Sequence[float]],
-        tail: Sequence[str] = (),
-    ):
-        self.head = head
-        self.columns = columns
-        self.tail = tail
-        self.rows = len(columns[0])
-        self._row = ",".join(["{:.17g}"] * len(columns)).format
-
-    def __len__(self) -> int:
-        return len(self.head) + self.rows + len(self.tail)
-
-    def __getitem__(self, span: slice) -> list[str]:
-        start, stop, step = span.indices(len(self))
-        if step != 1:
-            raise ValueError(f"slice step must be 1, not {step}")
-        lines = self.head[start:stop]
-        lo = max(start - len(self.head), 0)
-        hi = min(stop - len(self.head), self.rows)
-        if lo < hi:
-            lines += map(
-                self._row, *(col[lo:hi].tolist() for col in self.columns)
-            )
-        end = len(self.head) + self.rows
-        lines += self.tail[max(start - end, 0):max(stop - end, 0)]
-        return lines
 
 
 def cmd_coeffs(m: int, out_path: str, fmt: str = "paper") -> None:
@@ -123,13 +85,22 @@ def cmd_eval(n_value: Fraction, m: int, out_path: Optional[str] = None) -> str:
 
 
 def cmd_integrate(n: float, cfg: IntegratorConfig, out_path: str) -> None:
-    """Integrate and write ``x,F,H`` rows plus a first-zero summary line."""
-    result = solve_midpoint(n, cfg)
-    zero = "none" if result.first_zero is None else _fmt(result.first_zero)
-    lines = _FloatLines(
-        ["x,F,H"], (result.xs, result.Fs, result.Hs), [f"# first_zero={zero}"]
-    )
-    _write_lines(out_path, lines)
+    """Integrate and write ``x,F,H`` rows plus a first-zero summary line.
+
+    The rows are formatted and written while the grid is still being
+    stepped.
+    """
+    run = _midpoint_run(n, cfg, CHUNK_ROWS)
+    # seeds the grid, so that its errors come before --out is opened
+    columns = next(run)
+    summary = []
+
+    def stepping():
+        result = yield from run
+        zero = "none" if result.first_zero is None else _fmt(result.first_zero)
+        summary.append(f"# first_zero={zero}")
+
+    _write_floats(out_path, "x,F,H", columns, stepping(), summary)
 
 
 def cmd_compare(
@@ -146,7 +117,7 @@ def cmd_compare(
     result = solve_midpoint(n, cfg)
     sv = eval_series_float(series, result.xs)
     columns = (result.xs, sv, result.Fs, np.abs(sv - result.Fs))
-    _write_lines(out_path, _FloatLines(["x,series,numeric,abs_err"], columns))
+    _write_floats(out_path, "x,series,numeric,abs_err", columns)
 
 
 def run_bench(m_max: int, step: int, reps: int) -> list[tuple[int, float]]:
@@ -175,25 +146,60 @@ def cmd_bench(m_max: int, step: int, reps: int, out_path: str) -> None:
     _write_lines(out_path, lines)
 
 
-def _write_lines(out_path: str, lines: list[str] | _FloatLines) -> None:
+def _write_lines(out_path: str, lines: list[str]) -> None:
     """Write each of the (one or more) ``lines`` ending in ``\\n``.
 
-    ``lines`` is taken ``CHUNK_ROWS`` at a time, and the chunks are written
-    in order.  The chunks of a :class:`_FloatLines` are formatted by
-    :func:`_chunk_texts`, on every usable CPU; those of a list are joined
-    here, one after the other.
+    The lines are joined and written ``CHUNK_ROWS`` at a time.
     """
-    starts = range(0, len(lines), CHUNK_ROWS)
-    with open(out_path, "w", encoding="ascii", newline="") as fh, \
-            _chunk_texts(lines, starts) as texts:
-        for text in texts:
-            fh.write(text)
+    with open(out_path, "w", encoding="ascii", newline="") as fh:
+        for start in range(0, len(lines), CHUNK_ROWS):
+            fh.write("\n".join(lines[start:start + CHUNK_ROWS]))
             fh.write("\n")
 
 
-def _chunk_text(lines: list[str] | _FloatLines, start: int) -> str:
-    """The chunk of ``lines`` that begins at ``start``, joined by ``\\n``."""
-    return "\n".join(lines[start:start + CHUNK_ROWS])
+def _write_floats(
+    out_path: str,
+    head: str,
+    columns: Sequence[Sequence[float]],
+    stepping=(),
+    tail: Sequence[str] = (),
+) -> None:
+    """Write ``head``, one ``.17g`` row per element of ``columns``, ``tail``.
+
+    ``columns`` are equal-length float64 buffers (``array("d")`` or
+    ndarray), and a row holds the text :func:`_fmt` gives for each of its
+    fields.  Each item of ``stepping`` means that rows were appended to
+    the columns; ``tail`` is read once ``stepping`` is exhausted.  The
+    rows are formatted by :func:`_chunk_texts` and written in order.
+    """
+    with open(out_path, "wb") as fh, _Workers(len(columns)) as workers:
+        fh.write(f"{head}\n".encode("ascii"))
+        for text in _chunk_texts(columns, stepping, workers):
+            fh.write(text)
+        fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
+
+
+def _chunks_ready(columns: Sequence[Sequence[float]], stepping):
+    """``(chunks ready, stepping over)`` after each item of ``stepping``.
+
+    A chunk is ready once its last row exists, or once ``stepping`` is
+    exhausted, which is reported by one more pair at the end.
+    """
+    for _ in stepping:
+        yield len(columns[0]) // CHUNK_ROWS, False
+    yield -(-len(columns[0]) // CHUNK_ROWS), True
+
+
+def _chunk_span(columns: Sequence[Sequence[float]], chunk: int) -> range:
+    """The rows of chunk number ``chunk``."""
+    lo = chunk * CHUNK_ROWS
+    return range(lo, min(lo + CHUNK_ROWS, len(columns[0])))
+
+
+def _chunk_text(fields: list[list[float]]) -> bytes:
+    """The ASCII CSV rows, each ending in ``\\n``, of the columns ``fields``."""
+    row = ",".join(["{:.17g}"] * len(fields)) + "\n"
+    return "".join(map(row.format, *fields)).encode("ascii")
 
 
 def _usable_cpus() -> int:
@@ -204,99 +210,167 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
-def _chunk_texts(lines: list[str] | _FloatLines, starts: range):
-    """Give an iterator over the :func:`_chunk_text` of each of ``starts``.
+def _fork_is_safe() -> bool:
+    """Whether formatting workers may be forked from this process."""
+    import multiprocessing
+    import threading
 
-    A :class:`_FloatLines` with chunks for two or more usable CPUs is
-    formatted by that many worker processes, forked so that they inherit
-    the view and no column is pickled.  Each worker formats one chunk at a
-    time, and gets the next one as soon as it hands its text back (see
-    :func:`_collect_chunks`), so a worker that the host runs slower takes
-    fewer chunks instead of holding up the others.  The workers are
-    stopped and joined when the block exits, however it exits.  Anything
-    else, and every float CSV where ``fork`` is missing or another thread
-    runs, maps :func:`_chunk_text` over ``starts`` in this process.
+    # fork copies only the calling thread, and a lock another thread
+    # holds stays locked in the child, so only a single thread forks
+    return (threading.active_count() == 1
+            and "fork" in multiprocessing.get_all_start_methods())
+
+
+def _chunk_texts(columns: Sequence[Sequence[float]], stepping, workers):
+    """The :func:`_chunk_text` of each chunk of ``columns``, in order.
+
+    Chunks are formatted as ``stepping`` makes them ready (see
+    :func:`_chunks_ready`).  No worker starts before a second chunk is
+    ready.  Then, with ``k`` usable CPUs, ``workers`` forks ``k - 1``
+    formatting workers while ``stepping`` goes on, which leaves a CPU to
+    the stepping, and up to ``k`` once it is over: so a ``stepping`` that
+    is empty, as it is for columns that are complete, starts them all at
+    once.  With one usable CPU, where ``fork`` is missing, or while
+    another thread runs, each chunk is formatted in this process as soon
+    as it is ready.
     """
-    workers = 1
-    if isinstance(lines, _FloatLines):
-        workers = min(_usable_cpus(), len(starts))
-    if workers >= 2:
-        import multiprocessing
-        import threading
+    cpus = _usable_cpus()
+    forking = None  # decided once a second chunk is ready
+    written = 0
+    for ready, done in _chunks_ready(columns, stepping):
+        if forking is None and cpus >= 2 and ready >= 2:
+            forking = _fork_is_safe()
+        if forking:
+            # k - 1 workers, then k, and none without a chunk to format
+            unsent = ready - workers.sent
+            workers.fork(min(cpus - (not done), len(workers.held) + unsent))
+            for text in workers.collect(columns, written, ready, done):
+                yield text
+                written += 1
+        elif forking is False or cpus < 2 or done:
+            # (else chunk 0 is held back: a second one will start workers)
+            for chunk in range(written, ready):
+                rows = _chunk_span(columns, chunk)
+                yield _chunk_text(
+                    [col[rows.start:rows.stop].tolist() for col in columns]
+                )
+            written = ready
 
-        # fork copies only the calling thread, and a lock another thread
-        # holds stays locked in the child, so only a single thread forks
-        if (threading.active_count() > 1
-                or "fork" not in multiprocessing.get_all_start_methods()):
-            workers = 1
-    if workers < 2:
-        yield map(partial(_chunk_text, lines), starts)
-        return
-    # No pool: it would receive the texts on a thread of its own, and that
-    # thread's heap kept several MB resident after each run.
-    context = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for _ in range(workers):
+
+class _Workers:
+    """Forked processes that format chunks, and the chunks they hold.
+
+    Each worker is sent the float64 bytes of one chunk at a time, one
+    message a column and read straight from the columns, and gets
+    the next as soon as it hands back its text (see :meth:`collect`), so a
+    worker that the host runs slower takes fewer chunks instead of holding
+    up the others.  The workers are stopped and joined when the ``with``
+    block exits, however it exits.
+    """
+
+    def __init__(self, width: int):
+        self.width = width  # columns in a chunk
+        self.procs, self.conns = [], []
+        self.held = {}  # worker connection -> the chunk number it formats
+        self.texts = {}  # chunk number -> its text, until it is yielded
+        self.sent = 0  # chunks sent so far, in order
+        # worker connection -> the buffer its texts are received into, large
+        # enough for any: a .17g field takes at most 24 characters and a
+        # comma or newline
+        self.bufs = {}
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for proc in self.procs:
+            proc.terminate()
+        for proc in self.procs:
+            proc.join()
+        for conn in self.conns:
+            conn.close()
+
+    def fork(self, count: int) -> None:
+        """Start workers until ``count`` of them run."""
+        # No pool: it would receive the texts on a thread of its own, and
+        # that thread's heap kept several MB resident after each run.
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        while len(self.procs) < count:
             conn, child_conn = context.Pipe()
-            conns.append(conn)
+            self.conns.append(conn)
+            self.bufs[conn] = bytearray(CHUNK_ROWS * self.width * 25)
             proc = context.Process(
-                target=_format_chunks, args=(lines, child_conn)
+                target=_format_chunks, args=(self.width, child_conn)
             )
             proc.start()
-            procs.append(proc)
+            self.procs.append(proc)
             # the worker holds the only other end now, so should it die,
             # the parent's recv raises EOFError instead of waiting
             child_conn.close()
-        yield _collect_chunks(conns, starts)
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+
+    def collect(self, columns, written: int, ready: int, block: bool):
+        """The texts of the chunks from ``written`` on, in order.
+
+        A worker is sent the next of the first ``ready`` chunks whenever it
+        has none, unless that chunk lies ``2 * len(self.conns)`` chunks or
+        more past the one to yield next: the texts that came back early
+        wait here, and the window bounds them.  With ``block`` this waits
+        for every chunk before ``ready``; without, it yields only those
+        whose texts are back already.  A text may be a view of a receive
+        buffer, valid until the generator resumes.
+        """
+        from multiprocessing.connection import wait
+
+        self._send(columns, written, ready)
+        while written < ready:
+            if self.held:
+                # chunk ``written`` is held when it is not back: every
+                # chunk before it has come back, so a worker was free
+                idle = not block or written in self.texts
+                for conn in wait(list(self.held), 0 if idle else None):
+                    buf = self.bufs[conn]
+                    size = conn.recv_bytes_into(buf)
+                    if not size:  # the worker failed, and sends its error
+                        raise conn.recv()
+                    chunk = self.held.pop(conn)
+                    text = memoryview(buf)[:size]
+                    # the text to yield next is written before this worker
+                    # is sent another chunk; one that must wait is copied
+                    self.texts[chunk] = text if chunk == written else bytes(text)
+            while written in self.texts:
+                yield self.texts.pop(written)
+                written += 1
+            self._send(columns, written, ready)
+            if not block:
+                return
+
+    def _send(self, columns, written: int, ready: int) -> None:
+        window = 2 * len(self.conns)
+        for conn in self.conns:
+            if conn not in self.held and self.sent < min(ready, written + window):
+                rows = _chunk_span(columns, self.sent)
+                for col in columns:
+                    # byte offsets: the columns hold 8-byte floats
+                    conn.send_bytes(col, 8 * rows.start, 8 * len(rows))
+                self.held[conn] = self.sent
+                self.sent += 1
 
 
-def _format_chunks(lines: _FloatLines, conn) -> None:
-    """In a worker: send the text of each chunk start it gets, or the error."""
+def _format_chunks(width: int, conn) -> None:
+    """In a worker: send the text of each chunk it gets, or the error.
+
+    A chunk has at least one row, so an empty message announces the error.
+    """
     try:
         while True:
-            conn.send(_chunk_text(lines, conn.recv()))
+            fields = [memoryview(conn.recv_bytes()).cast("d").tolist()
+                      for _ in range(width)]
+            conn.send_bytes(_chunk_text(fields))
     except Exception as exc:
+        conn.send_bytes(b"")
         conn.send(exc)
-
-
-def _collect_chunks(conns: list, starts: range):
-    """The texts of the chunks at ``starts``, in order, from the workers.
-
-    A worker is sent the next chunk start whenever it has none, unless
-    that chunk lies ``2 * len(conns)`` chunks or more past the one to
-    yield next: the texts that came back early wait here, and the window
-    bounds them.
-    """
-    from multiprocessing.connection import wait
-
-    window = 2 * len(conns)
-    texts = {}  # chunk number -> text that came back ahead of its turn
-    held = {}  # worker connection -> the chunk number it formats
-    sent = 0
-    for i in range(len(starts)):
-        while i not in texts:
-            for conn in conns:
-                if conn not in held and sent < min(len(starts), i + window):
-                    conn.send(starts[sent])
-                    held[conn] = sent
-                    sent += 1
-            # chunk i is held: every chunk before it has come back, so a
-            # worker was free to take it above
-            for conn in wait(list(held)):
-                text = conn.recv()
-                if isinstance(text, Exception):
-                    raise text
-                texts[held.pop(conn)] = text
-        yield texts.pop(i)
 
 
 def _rational(text: str) -> Fraction:

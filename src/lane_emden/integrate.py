@@ -145,6 +145,23 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     ``first_zero`` estimate.  A negative or non-finite ``n`` raises
     ValueError before any work is done.
     """
+    # xmax/dx <= MAX_STEPS: a run of chunks that long pauses once at most
+    run = _midpoint_run(n, cfg, MAX_STEPS)
+    while True:
+        try:
+            next(run)
+        except StopIteration as done:
+            return done.value
+
+
+def _midpoint_run(n: float, cfg: IntegratorConfig, chunk: int):
+    """The run of :func:`solve_midpoint`, a ``chunk`` of samples at a time.
+
+    Yields the buffers ``(xs, Fs, Hs)`` once the grid is seeded, so that
+    the first ``next`` raises whatever the seed raises, and again each
+    time the number of stored samples reaches a multiple of ``chunk``.
+    Returns the :class:`IntegrationResult`.
+    """
     if not (math.isfinite(n) and n >= 0):
         raise ValueError("index n must be finite and nonnegative")
     dx = float(cfg.dx)
@@ -168,10 +185,14 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
         xs.append(x)
         Fs.append(F)
         Hs.append(H)
-    else:
-        crossed, x_reject, f_reject = _kernels.midpoint_steps(
-            float(n), dx, float(cfg.xmax), xs, Fs, Hs
-        )
+    yield xs, Fs, Hs
+    if not crossed:
+        grid = (float(n), dx, float(cfg.xmax), xs, Fs, Hs)
+        while (stop := _kernels.midpoint_steps(
+            *grid, (len(xs) // chunk + 1) * chunk
+        )) is None:
+            yield xs, Fs, Hs
+        crossed, x_reject, f_reject = stop
 
     if crossed:
         termination = CROSSED_ZERO

@@ -42,8 +42,9 @@ MAX_LITERAL_DIGITS = 4300
 MAX_DEPTH = 100
 
 
-# A token, or any other character that is not whitespace.
-_TOKEN = re.compile(r"(\d+|\*\*|[n()+\-*/])|(\S)")
+# A token, or any other character that is not whitespace.  Literals are
+# ASCII digits only: ``\d`` would also match other scripts' digits.
+_TOKEN = re.compile(r"([0-9]+|\*\*|[n()+\-*/])|(\S)")
 
 
 def _tokenize(text: str):

@@ -10,11 +10,12 @@ import sys
 import threading
 import time
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
 
-from lane_emden import cli
+from lane_emden import _kernels, cli
 from lane_emden.parsing import MAX_DEGREE
 from lane_emden.series import MAX_ORDER
 
@@ -28,6 +29,12 @@ INTEGRATE_N3_DX1E3_SHA256 = (
 COMPARE_N3_M10_DX1E3_SHA256 = (
     "400d978875c35ad216155469a3426df95b8a9e3f057048ac29989c6c33b80a2e"
 )
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_run():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def read_bytes(path):
@@ -173,9 +180,11 @@ class TestOutputBytes:
     and ``m = 140``, where the series kernel interpolates polynomials of
     degree up to 70.  The first ``eval`` digest is that of the file
     ``eval`` wrote with its own ``open()``, before it used the shared
-    writer.  The last two cases, a CSV coefficient file and an ``eval`` at
-    a rational index with a denominator, were pinned from the output of
-    the ``Fraction``-backed ``IndexPolynomial``.
+    writer.  A CSV coefficient file and an ``eval`` at a rational index
+    with a denominator were pinned from the output of the
+    ``Fraction``-backed ``IndexPolynomial``.  The last case, 17 chunks of
+    ``CHUNK_ROWS`` rows written while the grid is stepped, was pinned from
+    the writer that formatted the rows only after the run.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -195,6 +204,8 @@ class TestOutputBytes:
          "43ea0f1cc303a52acfc307abf39d828aa76b34ea876d19bd108118a8c9904fe3"),
         (["eval", "--n", "7/3", "--m", "40"],
          "c30f767f7bf290decdcc50c17dbc28c28cccefa493269c1638216645a57647cf"),
+        (["integrate", "--n", "3", "--dx", "1e-4"],
+         "f04ed54999523fdbf37f61006bfdcae7e19c76e8d5844702f8674c0894d3354c"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
@@ -202,31 +213,26 @@ class TestOutputBytes:
         assert hashlib.sha256(read_bytes(out)).hexdigest() == digest
 
 
-class TestFloatLines:
-    def test_every_slice_matches_the_eager_lines(self):
-        columns = (np.array([0.0, 0.1, 1e300, -0.0, 5e-324]),
+class TestChunkText:
+    def test_every_chunk_matches_the_eager_lines(self, monkeypatch):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+        columns = (array("d", [0.0, 0.1, 1e300, -0.0, 5e-324]),
                    np.array([1.0, 2.0 / 3.0, math.inf, 1e-7, -2.5]))
-        eager = ["x,y"] + [",".join(cli._fmt(v) for v in row)
-                           for row in zip(*columns)] + ["# end"]
-        lines = cli._FloatLines(["x,y"], columns, ["# end"])
-        assert len(lines) == len(eager)
-        for start in range(len(eager) + 1):
-            for stop in range(len(eager) + 2):
-                assert lines[start:stop] == eager[start:stop]
-
-    @pytest.mark.parametrize("span", [slice(None, None, 2),
-                                      slice(None, None, -1)])
-    def test_step_other_than_one_rejected(self, span):
-        lines = cli._FloatLines(["x"], (np.arange(4.0),))
-        with pytest.raises(ValueError, match="step"):
-            lines[span]
+        eager = [",".join(cli._fmt(v) for v in row) + "\n"
+                 for row in zip(*columns)]
+        for chunk in range(3):
+            rows = cli._chunk_span(columns, chunk)
+            fields = [col[rows.start:rows.stop].tolist() for col in columns]
+            text = cli._chunk_text(fields)
+            assert text == "".join(eager[2 * chunk:2 * chunk + 2]).encode()
 
 
 class TestFormattingWorkers:
     """Float CSVs formatted by forked workers or in process.
 
     ``CHUNK_ROWS`` is cut to a few dozen rows, so that the pinned ``1e-3``
-    grids span many chunks, and the usable CPU count is forced.
+    grids span many chunks, and the usable CPU count is forced.  No worker
+    may outlive its run (see ``no_worker_outlives_its_run``).
     """
 
     CASES = [
@@ -262,9 +268,33 @@ class TestFormattingWorkers:
         cpus(2)
         assert self.run(tmp_path, argv) == digest
 
-    def test_slow_worker_takes_fewer_chunks(self):
-        # two thread "workers" behind real pipes, one 20 times slower
-        starts = range(0, 40 * 30, 40)
+    def test_one_worker_while_stepping(self, tmp_path, cpus, monkeypatch):
+        cpus(2)
+        alive, forked = [], []
+        steps, leave = _kernels.midpoint_steps, cli._Workers.__exit__
+
+        def counted(*args):
+            alive.append(len(multiprocessing.active_children()))
+            return steps(*args)
+
+        def counted_exit(workers, *exc_info):
+            forked.append(len(workers.procs))
+            return leave(workers, *exc_info)
+
+        monkeypatch.setattr(_kernels, "midpoint_steps", counted)
+        monkeypatch.setattr(cli._Workers, "__exit__", counted_exit)
+        argv, digest = self.CASES[0]
+        assert self.run(tmp_path, argv) == digest
+        # one worker formats beside the stepping, a second joins after it
+        assert max(alive) == 1
+        assert forked == [2]
+
+    def test_slow_worker_takes_fewer_chunks(self, monkeypatch):
+        # two thread "workers" behind real pipes, one 20 times slower;
+        # chunk k holds the value k in each of its 40 rows
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
+        total = 30
+        columns = (array("d", [i // 40 for i in range(40 * total)]),)
         window = 4  # 2 * workers
         log, taken = [], {}
 
@@ -272,32 +302,34 @@ class TestFormattingWorkers:
             taken[name] = []
             try:
                 while True:
-                    start = conn.recv()
-                    log.append(("sent", start // 40))
-                    taken[name].append(start)
+                    chunk = int(memoryview(conn.recv_bytes()).cast("d")[0])
+                    log.append(("sent", chunk))
+                    taken[name].append(chunk)
                     time.sleep(delay)
-                    conn.send(f"chunk {start}")
+                    conn.send_bytes(f"chunk {chunk}".encode())
             except EOFError:
                 conn.close()
 
-        conns, threads = [], []
+        workers = cli._Workers(1)
+        threads = []
         for name, delay in (("fast", 0.001), ("slow", 0.02)):
             conn, child = multiprocessing.Pipe()
-            conns.append(conn)
+            workers.conns.append(conn)
+            workers.bufs[conn] = bytearray(64)
             thread = threading.Thread(target=work, args=(child, name, delay))
             thread.start()
             threads.append(thread)
         texts = []
         try:
-            for text in cli._collect_chunks(conns, starts):
-                texts.append(text)
+            for text in workers.collect(columns, 0, total, True):
+                texts.append(bytes(text))
                 log.append(("yielded", None))
         finally:
-            for conn in conns:
+            for conn in workers.conns:
                 conn.close()
             for thread in threads:
                 thread.join(10)
-        assert texts == [f"chunk {start}" for start in starts]
+        assert texts == [f"chunk {k}".encode() for k in range(total)]
         assert len(taken["slow"]) < len(taken["fast"])
         yielded = 0
         for event, chunk in log:
@@ -346,9 +378,9 @@ class TestFormattingWorkers:
         )
 
     def test_worker_error_surfaces(self, tmp_path, cpus, monkeypatch):
-        # only the workers call _chunk_text when there are two of them
-        def fail(lines, start):
-            raise LookupError(f"chunk at {start}")
+        # only the workers call _chunk_text when there are two CPUs
+        def fail(fields):
+            raise LookupError(f"chunk at x={fields[0][0]}")
 
         cpus(2)
         monkeypatch.setattr(cli, "_chunk_text", fail)
@@ -359,7 +391,7 @@ class TestFormattingWorkers:
 
     def test_worker_death_surfaces(self, tmp_path, cpus, monkeypatch):
         # a worker that exits without sending its chunk closes its pipe
-        def die(lines, start):
+        def die(fields):
             os._exit(3)
 
         cpus(2)
@@ -490,6 +522,7 @@ class TestExitCodes:
             raise AssertionError("solver started")
 
         monkeypatch.setattr(cli, "solve_midpoint", never)
+        monkeypatch.setattr(cli, "_midpoint_run", never)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
         assert exc.value.code == cli.USAGE_ERROR
@@ -615,15 +648,17 @@ class TestEntryPoint:
 class TestColdStart:
     """numpy is imported only where array math runs: by ``compare``.
 
-    Each case runs in a fresh interpreter, since this one has numpy loaded.
+    ``multiprocessing`` is imported only where a float CSV has a second
+    chunk to format.  Each case runs in a fresh interpreter, since this
+    one has both loaded.
     """
 
-    def run_child(self, child_env, *argvs):
+    def run_child(self, child_env, *argvs, module="numpy"):
         code = (
             "import json, sys; from lane_emden.cli import main\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert main(argv) == 0, argv\n"
-            "print('numpy' in sys.modules)"
+            f"print({module!r} in sys.modules)"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code, json.dumps(argvs)],
@@ -642,6 +677,19 @@ class TestColdStart:
             ["eval", "--n", "3", "--m", "6"],
             ["bench", "--mmax", "4", "--step", "2", "--reps", "1",
              "--out", str(tmp_path / "b.csv")],
+        )
+        assert loaded == "False"
+
+    def test_exact_commands_leave_multiprocessing_unloaded(
+        self, child_env, tmp_path
+    ):
+        loaded = self.run_child(
+            child_env,
+            ["coeffs", "--m", "10", "--out", str(tmp_path / "c.txt")],
+            ["eval", "--n", "3", "--m", "6"],
+            ["bench", "--mmax", "4", "--step", "2", "--reps", "1",
+             "--out", str(tmp_path / "b.csv")],
+            module="multiprocessing",
         )
         assert loaded == "False"
 

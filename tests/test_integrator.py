@@ -18,7 +18,7 @@ from lane_emden import (
 )
 from lane_emden import _kernels
 from lane_emden._backend import kernels
-from lane_emden.integrate import MAX_STEPS, SeedDivergenceError
+from lane_emden.integrate import MAX_STEPS, SeedDivergenceError, _midpoint_run
 
 
 class TestConfig:
@@ -240,6 +240,47 @@ class TestSampleStorage:
             assert r.first_zero == interpolate_zero(
                 xs[-1], Fs[-1], x_stop, f_stop
             )
+
+
+class TestPausedRun:
+    """A run paused every ``chunk`` samples is bit for bit an unpaused one."""
+
+    @pytest.mark.parametrize("n_value, dx, xmax, stop", [
+        (3.0, 1e-3, 50.0, "crossed_zero"),
+        (1.5, 1e-3, 50.0, "crossed_zero"),
+        (5.0, 1e-2, 10.0, "reached_xmax"),
+    ])
+    # None: one chunk of the whole run, so the stop lands on its pause
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, None])
+    def test_buffers_match_unpaused_run(self, n_value, dx, xmax, stop, chunk):
+        cfg = IntegratorConfig(dx=dx, xmax=xmax)
+        whole = solve_midpoint(n_value, cfg)
+        stored = len(whole.xs)
+        chunk = chunk or stored
+        run = _midpoint_run(n_value, cfg, chunk)
+        sizes = []
+        while True:
+            try:
+                xs, _, _ = next(run)
+            except StopIteration as done:
+                paused = done.value
+                break
+            sizes.append(len(xs))
+        assert sizes == [4] + [k for k in range(chunk, stored + 1, chunk)
+                               if k > 4]
+        assert paused.termination == whole.termination == stop
+        assert paused.first_zero == whole.first_zero
+        for got, want in ((paused.xs, whole.xs), (paused.Fs, whole.Fs),
+                          (paused.Hs, whole.Hs)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_kernel_pauses_at_the_bound(self):
+        xs, Fs, Hs = [1.0], [1.0], [0.0]
+        assert kernels.midpoint_steps(3.0, 0.1, 50.0, xs, Fs, Hs, 3) is None
+        assert len(xs) == len(Fs) == len(Hs) == 3
+        # a bound already reached takes no step
+        assert kernels.midpoint_steps(3.0, 0.1, 50.0, xs, Fs, Hs, 2) is None
+        assert len(xs) == 3
 
 
 class TestKernelGuards:

@@ -146,6 +146,18 @@ class TestErrors:
             f"unexpected character {char!r} at position {pos}"
         )
 
+    @pytest.mark.parametrize("text, char, pos", [
+        ("\u0663*n + \uff11", "\u0663", 0),
+        ("n + \uff11", "\uff11", 4),
+    ])
+    def test_non_ascii_digits_rejected(self, text, char, pos):
+        # str.isdigit and the regex \d accept them, and int() reads them
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == (
+            f"unexpected character {char!r} at position {pos}"
+        )
+
     def test_first_bad_character_is_reported(self):
         # The whole text is tokenized before parsing, so a bad character
         # wins over a syntax error that comes before it.
