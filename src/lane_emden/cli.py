@@ -172,7 +172,7 @@ def _write_floats(
     the columns; ``tail`` is read once ``stepping`` is exhausted.  The
     rows are formatted by :func:`_chunk_texts` and written in order.
     """
-    with open(out_path, "wb") as fh, _Workers(len(columns)) as workers:
+    with open(out_path, "wb") as fh, _Workers(columns) as workers:
         fh.write(f"{head}\n".encode("ascii"))
         for text in _chunk_texts(columns, stepping, workers):
             fh.write(text)
@@ -244,7 +244,7 @@ def _chunk_texts(columns: Sequence[Sequence[float]], stepping, workers):
             # k - 1 workers, then k, and none without a chunk to format
             unsent = ready - workers.sent
             workers.fork(min(cpus - (not done), len(workers.held) + unsent))
-            for text in workers.collect(columns, written, ready, done):
+            for text in workers.collect(written, ready, done):
                 yield text
                 written += 1
         elif forking is False or cpus < 2 or done:
@@ -258,18 +258,18 @@ def _chunk_texts(columns: Sequence[Sequence[float]], stepping, workers):
 
 
 class _Workers:
-    """Forked processes that format chunks, and the chunks they hold.
+    """Forked processes that format the chunks of ``columns``.
 
     Each worker is sent the float64 bytes of one chunk at a time, one
-    message a column and read straight from the columns, and gets
-    the next as soon as it hands back its text (see :meth:`collect`), so a
+    message a column and read straight from the columns, and gets the
+    next as soon as it hands back its text (see :meth:`collect`), so a
     worker that the host runs slower takes fewer chunks instead of holding
     up the others.  The workers are stopped and joined when the ``with``
     block exits, however it exits.
     """
 
-    def __init__(self, width: int):
-        self.width = width  # columns in a chunk
+    def __init__(self, columns: Sequence[Sequence[float]]):
+        self.columns = columns
         self.procs, self.conns = [], []
         self.held = {}  # worker connection -> the chunk number it formats
         self.texts = {}  # chunk number -> its text, until it is yielded
@@ -300,9 +300,9 @@ class _Workers:
         while len(self.procs) < count:
             conn, child_conn = context.Pipe()
             self.conns.append(conn)
-            self.bufs[conn] = bytearray(CHUNK_ROWS * self.width * 25)
+            self.bufs[conn] = bytearray(CHUNK_ROWS * len(self.columns) * 25)
             proc = context.Process(
-                target=_format_chunks, args=(self.width, child_conn)
+                target=_format_chunks, args=(len(self.columns), child_conn)
             )
             proc.start()
             self.procs.append(proc)
@@ -310,7 +310,7 @@ class _Workers:
             # the parent's recv raises EOFError instead of waiting
             child_conn.close()
 
-    def collect(self, columns, written: int, ready: int, block: bool):
+    def collect(self, written: int, ready: int, block: bool):
         """The texts of the chunks from ``written`` on, in order.
 
         A worker is sent the next of the first ``ready`` chunks whenever it
@@ -323,7 +323,7 @@ class _Workers:
         """
         from multiprocessing.connection import wait
 
-        self._send(columns, written, ready)
+        self._send(written, ready)
         while written < ready:
             if self.held:
                 # chunk ``written`` is held when it is not back: every
@@ -342,16 +342,16 @@ class _Workers:
             while written in self.texts:
                 yield self.texts.pop(written)
                 written += 1
-            self._send(columns, written, ready)
+            self._send(written, ready)
             if not block:
                 return
 
-    def _send(self, columns, written: int, ready: int) -> None:
+    def _send(self, written: int, ready: int) -> None:
         window = 2 * len(self.conns)
         for conn in self.conns:
             if conn not in self.held and self.sent < min(ready, written + window):
-                rows = _chunk_span(columns, self.sent)
-                for col in columns:
+                rows = _chunk_span(self.columns, self.sent)
+                for col in self.columns:
                     # byte offsets: the columns hold 8-byte floats
                     conn.send_bytes(col, 8 * rows.start, 8 * len(rows))
                 self.held[conn] = self.sent

@@ -310,7 +310,7 @@ class TestFormattingWorkers:
             except EOFError:
                 conn.close()
 
-        workers = cli._Workers(1)
+        workers = cli._Workers(columns)
         threads = []
         for name, delay in (("fast", 0.001), ("slow", 0.02)):
             conn, child = multiprocessing.Pipe()
@@ -321,7 +321,7 @@ class TestFormattingWorkers:
             threads.append(thread)
         texts = []
         try:
-            for text in workers.collect(columns, 0, total, True):
+            for text in workers.collect(0, total, True):
                 texts.append(bytes(text))
                 log.append(("yielded", None))
         finally:
