@@ -10,12 +10,12 @@ bench       time the coefficient engine for growing table sizes (CSV)
 
 Exit codes: 0 on success, 2 for usage errors, 1 for I/O errors.  All CSV
 output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
-and floats at 17 significant digits (round-trip precision).  The float CSVs
-of ``integrate`` and ``compare`` are formatted a chunk at a time in forked
-workers on the CPUs the process may use; ``integrate`` writes its rows while
-the grid is still being stepped, with one CPU left to the stepping.  The
-bytes are the same as from one process, which is what runs on one CPU or
-where ``fork`` is missing.
+and floats at 17 significant digits (round-trip precision).  The rows of
+the float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a
+time: forked workers on the CPUs the process may use format them, while
+``integrate``'s grid is still stepped on one CPU left to it.  With one CPU,
+a single chunk, no ``fork`` or another thread running, each chunk is
+formatted in the process itself, to the same bytes.
 """
 
 from __future__ import annotations
@@ -40,10 +40,10 @@ from .series import MAX_ORDER, compute_coefficients, evaluate_table
 USAGE_ERROR = 2
 IO_ERROR = 1
 
-# Lines formatted, joined and written at a time.  Larger chunks gain
-# little speed and raise peak memory: each holds its columns as Python
-# floats and its joined text at once.  A float CSV's header and summary
-# lines are written apart from its chunks of rows.
+# Rows of a float CSV formatted, joined and written at a time.  Larger
+# chunks gain little speed and raise peak memory: each holds its columns
+# as Python floats and its joined text at once.  A float CSV's header and
+# summary lines are written apart from its chunks of rows.
 CHUNK_ROWS = 4096
 
 # Most repetitions ``bench --reps`` may ask for: one at ``MAX_ORDER``
@@ -149,12 +149,12 @@ def cmd_bench(m_max: int, step: int, reps: int, out_path: str) -> None:
 def _write_lines(out_path: str, lines: list[str]) -> None:
     """Write each of the (one or more) ``lines`` ending in ``\\n``.
 
-    The lines are joined and written ``CHUNK_ROWS`` at a time.
+    The lines are those of a coefficient or timing table, at most 201 of
+    them, so they are joined and written at once.
     """
     with open(out_path, "w", encoding="ascii", newline="") as fh:
-        for start in range(0, len(lines), CHUNK_ROWS):
-            fh.write("\n".join(lines[start:start + CHUNK_ROWS]))
-            fh.write("\n")
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def _write_floats(
@@ -170,30 +170,14 @@ def _write_floats(
     ndarray), and a row holds the text :func:`_fmt` gives for each of its
     fields.  Each item of ``stepping`` means that rows were appended to
     the columns; ``tail`` is read once ``stepping`` is exhausted.  The
-    rows are formatted by :func:`_chunk_texts` and written in order.
+    rows are written by :class:`_Workers`.
     """
-    with open(out_path, "wb") as fh, _Workers(columns) as workers:
+    with open(out_path, "wb") as fh, _Workers(fh, columns) as workers:
         fh.write(f"{head}\n".encode("ascii"))
-        for text in _chunk_texts(columns, stepping, workers):
-            fh.write(text)
+        for _ in stepping:
+            workers.write(done=False)
+        workers.write(done=True)
         fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
-
-
-def _chunks_ready(columns: Sequence[Sequence[float]], stepping):
-    """``(chunks ready, stepping over)`` after each item of ``stepping``.
-
-    A chunk is ready once its last row exists, or once ``stepping`` is
-    exhausted, which is reported by one more pair at the end.
-    """
-    for _ in stepping:
-        yield len(columns[0]) // CHUNK_ROWS, False
-    yield -(-len(columns[0]) // CHUNK_ROWS), True
-
-
-def _chunk_span(columns: Sequence[Sequence[float]], chunk: int) -> range:
-    """The rows of chunk number ``chunk``."""
-    lo = chunk * CHUNK_ROWS
-    return range(lo, min(lo + CHUNK_ROWS, len(columns[0])))
 
 
 def _chunk_text(fields: list[list[float]]) -> bytes:
@@ -221,59 +205,36 @@ def _fork_is_safe() -> bool:
             and "fork" in multiprocessing.get_all_start_methods())
 
 
-def _chunk_texts(columns: Sequence[Sequence[float]], stepping, workers):
-    """The :func:`_chunk_text` of each chunk of ``columns``, in order.
-
-    Chunks are formatted as ``stepping`` makes them ready (see
-    :func:`_chunks_ready`).  No worker starts before a second chunk is
-    ready.  Then, with ``k`` usable CPUs, ``workers`` forks ``k - 1``
-    formatting workers while ``stepping`` goes on, which leaves a CPU to
-    the stepping, and up to ``k`` once it is over: so a ``stepping`` that
-    is empty, as it is for columns that are complete, starts them all at
-    once.  With one usable CPU, where ``fork`` is missing, or while
-    another thread runs, each chunk is formatted in this process as soon
-    as it is ready.
-    """
-    cpus = _usable_cpus()
-    forking = None  # decided once a second chunk is ready
-    written = 0
-    for ready, done in _chunks_ready(columns, stepping):
-        if forking is None and cpus >= 2 and ready >= 2:
-            forking = _fork_is_safe()
-        if forking:
-            # k - 1 workers, then k, and none without a chunk to format
-            unsent = ready - workers.sent
-            workers.fork(min(cpus - (not done), len(workers.held) + unsent))
-            for text in workers.collect(written, ready, done):
-                yield text
-                written += 1
-        elif forking is False or cpus < 2 or done:
-            # (else chunk 0 is held back: a second one will start workers)
-            for chunk in range(written, ready):
-                rows = _chunk_span(columns, chunk)
-                yield _chunk_text(
-                    [col[rows.start:rows.stop].tolist() for col in columns]
-                )
-            written = ready
-
-
 class _Workers:
-    """Forked processes that format the chunks of ``columns``.
+    """Writes the rows of ``columns`` to ``out``, ``CHUNK_ROWS`` at a time.
 
-    Each worker is sent the float64 bytes of one chunk at a time, one
-    message a column and read straight from the columns, and gets the
-    next as soon as it hands back its text (see :meth:`collect`), so a
-    worker that the host runs slower takes fewer chunks instead of holding
-    up the others.  The workers are stopped and joined when the ``with``
-    block exits, however it exits.
+    Each :meth:`write` writes the chunks that are ready, in order.  Whether
+    to fork formatting workers is decided once, when a second chunk is
+    ready or the columns are complete; chunk 0 waits for that.  With ``k``
+    usable CPUs, ``k - 1`` workers run while the columns grow, leaving a
+    CPU to the stepping, and up to ``k`` once they are complete; none
+    starts without a chunk to format.  With one usable CPU, a single chunk,
+    no ``fork``, or another thread running, each ready chunk is formatted
+    in this process on the same call.
+
+    A worker is sent the float64 bytes of one chunk at a time, one message
+    a column and read straight from the columns, and gets the next as soon
+    as it hands back its text, so a worker that the host runs slower takes
+    fewer chunks instead of holding up the others.  The workers are
+    stopped and joined when the ``with`` block exits, however it exits.
     """
 
-    def __init__(self, columns: Sequence[Sequence[float]]):
+    def __init__(self, out, columns: Sequence[Sequence[float]]):
+        self.out = out
         self.columns = columns
+        self.cpus = _usable_cpus()
+        # decided on the first write with two chunks or complete columns
+        self.forking = None if self.cpus >= 2 else False
+        self.written = 0  # chunks written so far, in order
+        self.sent = 0  # chunks sent so far, in order
         self.procs, self.conns = [], []
         self.held = {}  # worker connection -> the chunk number it formats
-        self.texts = {}  # chunk number -> its text, until it is yielded
-        self.sent = 0  # chunks sent so far, in order
+        self.texts = {}  # chunk number -> its text, until it is written
         # worker connection -> the buffer its texts are received into, large
         # enough for any: a .17g field takes at most 24 characters and a
         # comma or newline
@@ -290,7 +251,35 @@ class _Workers:
         for conn in self.conns:
             conn.close()
 
-    def fork(self, count: int) -> None:
+    def write(self, done: bool) -> None:
+        """Write the chunks ready so far; ``done`` once the columns are complete.
+
+        A chunk is ready once its last row exists, or once ``done``.  Without
+        ``done``, texts the workers have not sent back wait for a later call.
+        """
+        rows = len(self.columns[0])
+        ready = -(-rows // CHUNK_ROWS) if done else rows // CHUNK_ROWS
+        if self.forking is None and (done or ready >= 2):
+            self.forking = ready >= 2 and _fork_is_safe()
+        if self.forking:
+            # k - 1 workers, then k, and none without a chunk to format
+            unsent = ready - self.sent
+            self._fork(min(self.cpus - (not done), len(self.held) + unsent))
+            self._collect(ready, done)
+        elif self.forking is False:
+            for chunk in range(self.written, ready):
+                fields = [view.tolist() for view in self._fields(chunk)]
+                self.out.write(_chunk_text(fields))
+            self.written = ready
+
+    def _fields(self, chunk: int) -> list[memoryview]:
+        """Views of the rows of chunk number ``chunk``, one a column."""
+        # an array("d") cannot grow while a view of it exists: the views
+        # are dropped before write returns
+        lo = chunk * CHUNK_ROWS
+        return [memoryview(col)[lo:lo + CHUNK_ROWS] for col in self.columns]
+
+    def _fork(self, count: int) -> None:
         """Start workers until ``count`` of them run."""
         # No pool: it would receive the texts on a thread of its own, and
         # that thread's heap kept several MB resident after each run.
@@ -310,25 +299,24 @@ class _Workers:
             # the parent's recv raises EOFError instead of waiting
             child_conn.close()
 
-    def collect(self, written: int, ready: int, block: bool):
-        """The texts of the chunks from ``written`` on, in order.
+    def _collect(self, ready: int, block: bool) -> None:
+        """Write the workers' texts of the first ``ready`` chunks, in order.
 
         A worker is sent the next of the first ``ready`` chunks whenever it
         has none, unless that chunk lies ``2 * len(self.conns)`` chunks or
-        more past the one to yield next: the texts that came back early
+        more past the one to write next: the texts that came back early
         wait here, and the window bounds them.  With ``block`` this waits
-        for every chunk before ``ready``; without, it yields only those
-        whose texts are back already.  A text may be a view of a receive
-        buffer, valid until the generator resumes.
+        for every chunk before ``ready``; without, it writes only those
+        whose texts are back already.
         """
         from multiprocessing.connection import wait
 
-        self._send(written, ready)
-        while written < ready:
+        self._send(ready)
+        while self.written < ready:
             if self.held:
                 # chunk ``written`` is held when it is not back: every
                 # chunk before it has come back, so a worker was free
-                idle = not block or written in self.texts
+                idle = not block or self.written in self.texts
                 for conn in wait(list(self.held), 0 if idle else None):
                     buf = self.bufs[conn]
                     size = conn.recv_bytes_into(buf)
@@ -336,24 +324,25 @@ class _Workers:
                         raise conn.recv()
                     chunk = self.held.pop(conn)
                     text = memoryview(buf)[:size]
-                    # the text to yield next is written before this worker
+                    # the text to write next is written before this worker
                     # is sent another chunk; one that must wait is copied
-                    self.texts[chunk] = text if chunk == written else bytes(text)
-            while written in self.texts:
-                yield self.texts.pop(written)
-                written += 1
-            self._send(written, ready)
+                    self.texts[chunk] = (
+                        text if chunk == self.written else bytes(text)
+                    )
+            while self.written in self.texts:
+                self.out.write(self.texts.pop(self.written))
+                self.written += 1
+            self._send(ready)
             if not block:
                 return
 
-    def _send(self, written: int, ready: int) -> None:
+    def _send(self, ready: int) -> None:
         window = 2 * len(self.conns)
         for conn in self.conns:
-            if conn not in self.held and self.sent < min(ready, written + window):
-                rows = _chunk_span(self.columns, self.sent)
-                for col in self.columns:
-                    # byte offsets: the columns hold 8-byte floats
-                    conn.send_bytes(col, 8 * rows.start, 8 * len(rows))
+            if (conn not in self.held
+                    and self.sent < min(ready, self.written + window)):
+                for view in self._fields(self.sent):
+                    conn.send_bytes(view)
                 self.held[conn] = self.sent
                 self.sent += 1
 
@@ -487,7 +476,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "coeffs":
             cmd_coeffs(args.m, args.out, args.format)
         elif args.command == "eval":
-            text = cmd_eval(args.n, args.m, args.out)
+            try:
+                text = cmd_eval(args.n, args.m, args.out)
+            except ValueError:
+                # str() refused an a[k] past the interpreter's digit limit,
+                # which bounds the work; raised before --out is opened
+                parser.error("argument --n: an a[k] has more digits "
+                             "than can be printed")
             sys.stdout.write(text)
         elif args.command in ("integrate", "compare"):
             try:

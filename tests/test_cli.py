@@ -1,6 +1,7 @@
 """Command line interface: formats, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -220,11 +221,15 @@ class TestChunkText:
                    np.array([1.0, 2.0 / 3.0, math.inf, 1e-7, -2.5]))
         eager = [",".join(cli._fmt(v) for v in row) + "\n"
                  for row in zip(*columns)]
-        for chunk in range(3):
-            rows = cli._chunk_span(columns, chunk)
-            fields = [col[rows.start:rows.stop].tolist() for col in columns]
-            text = cli._chunk_text(fields)
-            assert text == "".join(eager[2 * chunk:2 * chunk + 2]).encode()
+        # formatted in process: two whole chunks while the columns grow,
+        # then the short last one
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        out = io.BytesIO()
+        with cli._Workers(out, columns) as workers:
+            workers.write(done=False)
+            assert out.getvalue() == "".join(eager[:4]).encode()
+            workers.write(done=True)
+        assert out.getvalue() == "".join(eager).encode()
 
 
 class TestFormattingWorkers:
@@ -310,7 +315,16 @@ class TestFormattingWorkers:
             except EOFError:
                 conn.close()
 
-        workers = cli._Workers(columns)
+        class Out:
+            def __init__(self):
+                self.texts = []
+
+            def write(self, text):
+                self.texts.append(bytes(text))
+                log.append(("written", None))
+
+        out = Out()
+        workers = cli._Workers(out, columns)
         threads = []
         for name, delay in (("fast", 0.001), ("slow", 0.02)):
             conn, child = multiprocessing.Pipe()
@@ -319,24 +333,21 @@ class TestFormattingWorkers:
             thread = threading.Thread(target=work, args=(child, name, delay))
             thread.start()
             threads.append(thread)
-        texts = []
         try:
-            for text in workers.collect(0, total, True):
-                texts.append(bytes(text))
-                log.append(("yielded", None))
+            workers._collect(total, True)
         finally:
             for conn in workers.conns:
                 conn.close()
             for thread in threads:
                 thread.join(10)
-        assert texts == [f"chunk {k}".encode() for k in range(total)]
+        assert out.texts == [f"chunk {k}".encode() for k in range(total)]
         assert len(taken["slow"]) < len(taken["fast"])
-        yielded = 0
+        written = 0
         for event, chunk in log:
-            if event == "yielded":
-                yielded += 1
+            if event == "written":
+                written += 1
             else:
-                assert chunk < yielded + window
+                assert chunk < written + window
 
     @pytest.mark.parametrize("argv, digest", CASES)
     def test_one_cpu_formats_in_process(
@@ -408,6 +419,57 @@ class TestFormattingWorkers:
         argv, _ = self.CASES[0]
         assert cli.main(argv + ["--out", "/dev/full"]) == cli.IO_ERROR
         assert "error:" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+
+class TestChunkBoundaries:
+    """``_write_floats`` at 40-row chunks, on each side of a boundary.
+
+    Chunk 0 waits until a second chunk is ready or the columns are
+    complete, and that decides whether workers are forked.  The columns
+    are passed complete, or grown by a ``stepping`` that yields at each
+    chunk boundary and appends a last short chunk without a yield, as
+    ``integrate``'s run does.  The usable CPU count is forced, and workers
+    are forked only where there are two CPUs and two chunks.
+    """
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 39, 40, 41, 80, 81, 200])
+    @pytest.mark.parametrize("growing", [False, True])
+    def test_bytes_equal_the_eager_lines(
+        self, tmp_path, monkeypatch, cpus, rows, growing
+    ):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        forks, get_context = [], multiprocessing.get_context
+
+        def counted(method):
+            forks.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        values = ([i / 7 for i in range(rows)],
+                  [math.sin(i) * 10.0 ** (i % 41 - 20) for i in range(rows)])
+        eager = "".join(",".join(cli._fmt(v) for v in row) + "\n"
+                        for row in zip(*values))
+        if growing:
+            columns = (array("d"), array("d"))
+
+            def stepping():
+                for stop in range(40, rows + 40, 40):
+                    for col, vals in zip(columns, values):
+                        col.extend(vals[len(col):stop])
+                    if stop <= rows:
+                        yield
+
+            steps = stepping()
+        else:
+            columns = (array("d", values[0]), np.array(values[1]))
+            steps = ()
+        out = tmp_path / "out.csv"
+        cli._write_floats(str(out), "x,y", columns, steps, ["# end"])
+        assert read_bytes(out) == f"x,y\n{eager}# end\n".encode()
+        assert bool(forks) == (cpus > 1 and rows > 40)
         assert multiprocessing.active_children() == []
 
 
@@ -561,6 +623,25 @@ class TestExitCodes:
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
         assert "argument --dx" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no integer digit limit")
+    @pytest.mark.parametrize("n_value, m", [
+        ("1" + "0" * 1000, "20"),
+        ("99999999999999999999", "400"),
+    ], ids=["n=10**1000", "n=10**20-1"])
+    def test_eval_past_the_digit_limit_rejected(
+        self, n_value, m, capsys, tmp_path
+    ):
+        # a[k](n) has more than 4300 digits: too many for str()
+        out = tmp_path / "unused.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--n", n_value, "--m", m, "--out", str(out)])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "argument --n" in err
         assert "Traceback" not in err
         assert not out.exists()
 
