@@ -20,6 +20,9 @@ product ``c_i * c_j``.  At step ``k`` the sum is a polynomial of degree
 ``k/2``: the kernel multiplies the ``c_i * c_j`` pairs as integers at the
 nodes ``n = 0, 1, ..., k/2`` and interpolates ``c_k`` back from those
 values, instead of multiplying the polynomials coefficient by coefficient.
+
+:func:`_horner` is the package's one Horner loop: the kernel, the float
+seed, and the float and exact series evaluations all call it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ from operator import add, mul, sub
 from .exact import _reduce
 
 
-def _horner(nums, x: int) -> int:
+def _horner(nums, x):
+    """``sum(nums[j] * x**j)`` by Horner's rule, in the type of ``x``.
+
+    The first ``0 * x`` is ``0.0 * x`` for a float ``x``, or each element's.
+    """
     acc = 0
     for v in reversed(nums):
         acc = acc * x + v

@@ -180,10 +180,11 @@ def _write_floats(
         fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
 
 
-def _chunk_text(fields: list[list[float]]) -> bytes:
-    """The ASCII CSV rows, each ending in ``\\n``, of the columns ``fields``."""
+def _chunk_text(fields: list[memoryview]) -> bytes:
+    """The ASCII CSV rows, each ending in ``\\n``, of the float64 ``fields``."""
     row = ",".join(["{:.17g}"] * len(fields)) + "\n"
-    return "".join(map(row.format, *fields)).encode("ascii")
+    columns = [view.tolist() for view in fields]
+    return "".join(map(row.format, *columns)).encode("ascii")
 
 
 def _usable_cpus() -> int:
@@ -220,8 +221,10 @@ class _Workers:
     A worker is sent the float64 bytes of one chunk at a time, one message
     a column and read straight from the columns, and gets the next as soon
     as it hands back its text, so a worker that the host runs slower takes
-    fewer chunks instead of holding up the others.  The workers are
-    stopped and joined when the ``with`` block exits, however it exits.
+    fewer chunks instead of holding up the others.  Every text is received
+    into one buffer: the text due next is written from it at once, and one
+    that arrives early is copied out to wait.  The workers are stopped and
+    joined when the ``with`` block exits, however it exits.
     """
 
     def __init__(self, out, columns: Sequence[Sequence[float]]):
@@ -235,10 +238,9 @@ class _Workers:
         self.procs, self.conns = [], []
         self.held = {}  # worker connection -> the chunk number it formats
         self.texts = {}  # chunk number -> its text, until it is written
-        # worker connection -> the buffer its texts are received into, large
-        # enough for any: a .17g field takes at most 24 characters and a
-        # comma or newline
-        self.bufs = {}
+        # every text is received into this buffer, large enough for any: a
+        # .17g field takes at most 24 characters and a comma or newline
+        self.buf = bytearray(CHUNK_ROWS * len(columns) * 25)
 
     def __enter__(self):
         return self
@@ -268,8 +270,7 @@ class _Workers:
             self._collect(ready, done)
         elif self.forking is False:
             for chunk in range(self.written, ready):
-                fields = [view.tolist() for view in self._fields(chunk)]
-                self.out.write(_chunk_text(fields))
+                self.out.write(_chunk_text(self._fields(chunk)))
             self.written = ready
 
     def _fields(self, chunk: int) -> list[memoryview]:
@@ -289,7 +290,6 @@ class _Workers:
         while len(self.procs) < count:
             conn, child_conn = context.Pipe()
             self.conns.append(conn)
-            self.bufs[conn] = bytearray(CHUNK_ROWS * len(self.columns) * 25)
             proc = context.Process(
                 target=_format_chunks, args=(len(self.columns), child_conn)
             )
@@ -316,22 +316,20 @@ class _Workers:
             if self.held:
                 # chunk ``written`` is held when it is not back: every
                 # chunk before it has come back, so a worker was free
-                idle = not block or self.written in self.texts
-                for conn in wait(list(self.held), 0 if idle else None):
-                    buf = self.bufs[conn]
-                    size = conn.recv_bytes_into(buf)
+                for conn in wait(list(self.held), None if block else 0):
+                    size = conn.recv_bytes_into(self.buf)
                     if not size:  # the worker failed, and sends its error
                         raise conn.recv()
                     chunk = self.held.pop(conn)
-                    text = memoryview(buf)[:size]
-                    # the text to write next is written before this worker
-                    # is sent another chunk; one that must wait is copied
+                    text = memoryview(self.buf)[:size]
+                    # the next receive overwrites the buffer: the text due
+                    # next is written below, and one that must wait is copied
                     self.texts[chunk] = (
                         text if chunk == self.written else bytes(text)
                     )
-            while self.written in self.texts:
-                self.out.write(self.texts.pop(self.written))
-                self.written += 1
+                    while self.written in self.texts:
+                        self.out.write(self.texts.pop(self.written))
+                        self.written += 1
             self._send(ready)
             if not block:
                 return
@@ -354,7 +352,7 @@ def _format_chunks(width: int, conn) -> None:
     """
     try:
         while True:
-            fields = [memoryview(conn.recv_bytes()).cast("d").tolist()
+            fields = [memoryview(conn.recv_bytes()).cast("d")
                       for _ in range(width)]
             conn.send_bytes(_chunk_text(fields))
     except Exception as exc:
@@ -442,9 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index (float, finite, >= 0)")
     p.add_argument("--dx", type=_positive_float, required=True,
                    help="grid step")
-    p.add_argument("--xmax", type=_positive_float, default=50.0,
+    p.add_argument("--xmax", type=_positive_float,
+                   default=IntegratorConfig.xmax,
                    help="safety cap: for n >= 5 the solution never crosses "
-                        "zero, so integration stops at this x (default 50)")
+                        "zero, so integration stops at this x "
+                        "(default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("compare", help="series vs numeric solution CSV")
@@ -454,8 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series truncation order")
     p.add_argument("--dx", type=_positive_float, required=True,
                    help="grid step")
-    p.add_argument("--xmax", type=_positive_float, default=50.0,
-                   help="safety cap for the numeric run (default 50)")
+    p.add_argument("--xmax", type=_positive_float,
+                   default=IntegratorConfig.xmax,
+                   help="safety cap for the numeric run (default %(default)s)")
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("bench", help="time the coefficient engine")

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from ._kernels import _horner
 from .exact import CoeffLike
 from .series import CoefficientTable, TruncatedSeries, _evaluated_power
 
@@ -42,21 +43,13 @@ def eval_series_float(
     import numpy as np
 
     x = np.asarray(x, dtype=float) if np.ndim(x) else float(x)
-    acc = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        u = x * x
-        for c in reversed(s.even_floats):
-            acc = acc * u + c
-    return acc
+        return _horner(s.even_floats, x * x)
 
 
 def eval_series_exact(s: TruncatedSeries, x: CoeffLike) -> Fraction:
     """Exact rational value of the truncated series at a rational ``x``."""
-    u = Fraction(x) ** 2
-    acc = Fraction(0)
-    for c in reversed(s.a_values[::2]):
-        acc = acc * u + c
-    return acc
+    return _horner(s.a_values[::2], Fraction(x) ** 2)
 
 
 def residual_coefficients(

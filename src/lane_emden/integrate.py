@@ -118,13 +118,10 @@ def seed_values(n: float, x: float) -> tuple[float, float]:
             f"the order-{SEED_ORDER} seed series does not converge at "
             f"x={x!r} for n={n!r}; use a smaller step"
         )
-    F = 0.0
-    for c in reversed(evens):
-        F = F * u + c
-    H = 0.0
-    for j in range(len(evens) - 1, 0, -1):
-        H = H * u + 2 * j * evens[j]
-    H *= x
+    F = _kernels._horner(evens, u)
+    H = x * _kernels._horner(
+        [2 * j * evens[j] for j in range(1, len(evens))], u
+    )
     return F, H
 
 

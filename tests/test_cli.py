@@ -107,6 +107,15 @@ class TestEval:
             cli.main(["eval", "--n", "1.5", "--m", "4"])
         assert exc.value.code == cli.USAGE_ERROR
 
+    @pytest.mark.parametrize("n_value", ["1/0", "abc"])
+    def test_bad_rational_rejected(self, n_value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--n", n_value, "--m", "4"])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert "argument --n: bad rational" in err
+        assert "Traceback" not in err
+
 
 class TestIntegrate:
     def test_output_shape(self, tmp_path):
@@ -329,7 +338,6 @@ class TestFormattingWorkers:
         for name, delay in (("fast", 0.001), ("slow", 0.02)):
             conn, child = multiprocessing.Pipe()
             workers.conns.append(conn)
-            workers.bufs[conn] = bytearray(64)
             thread = threading.Thread(target=work, args=(child, name, delay))
             thread.start()
             threads.append(thread)
@@ -399,6 +407,32 @@ class TestFormattingWorkers:
         with pytest.raises(LookupError, match="chunk at"):
             cli.main(argv + ["--out", str(tmp_path / "out.csv")])
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["run", "error"])
+    def test_every_connection_is_closed(
+        self, tmp_path, cpus, monkeypatch, fails
+    ):
+        # a leaked Connection raises no ResourceWarning, so the CLI tests in
+        # development mode cannot catch a dropped close
+        conns, leave = [], cli._Workers.__exit__
+
+        def recorded_exit(workers, *exc_info):
+            conns.extend(workers.conns)
+            return leave(workers, *exc_info)
+
+        def fail(fields):
+            raise LookupError("chunk failed")
+
+        cpus(2)
+        monkeypatch.setattr(cli._Workers, "__exit__", recorded_exit)
+        argv, digest = self.CASES[0]
+        if fails:
+            monkeypatch.setattr(cli, "_chunk_text", fail)
+            with pytest.raises(LookupError):
+                self.run(tmp_path, argv)
+        else:
+            assert self.run(tmp_path, argv) == digest
+        assert conns and all(conn.closed for conn in conns)
 
     def test_worker_death_surfaces(self, tmp_path, cpus, monkeypatch):
         # a worker that exits without sending its chunk closes its pipe

@@ -85,10 +85,13 @@ class TestArithmetic:
     def test_scalar_add(self):
         assert N + 1 == IndexPolynomial((1, 1))
         assert 1 + N == IndexPolynomial((1, 1))
+        with pytest.raises(TypeError):
+            N + "x"
 
     def test_sub(self):
         assert N - N == IndexPolynomial(())
         assert (N - 1) - N == IndexPolynomial((-1,))
+        assert 1 - N == IndexPolynomial((1, -1))
 
     def test_mul(self):
         # (-1/6) * (-n/6) = n/36
@@ -118,6 +121,7 @@ class TestArithmetic:
         assert IndexPolynomial((Fraction(1, 2),)) == Fraction(1, 2)
         assert IndexPolynomial(()) == 0
         assert N != 1
+        assert (N == "x") is False
 
     def test_hash_consistent_with_eq(self):
         assert hash(IndexPolynomial((0, 1))) == hash(N)

@@ -57,6 +57,10 @@ class TestSeedValues:
     def test_center(self):
         assert seed_values(3.0, 0.0) == (1.0, 0.0)
 
+    def test_negative_x_rejected(self):
+        with pytest.raises(ValueError, match="x >= 0"):
+            seed_values(3.0, -1.0)
+
     def test_matches_truncated_series(self):
         s = evaluate_table(compute_coefficients(10), 3)
         f, _ = seed_values(3.0, 0.1)

@@ -242,6 +242,10 @@ class TestVerifyCByPower:
         with pytest.raises(ValueError):
             verify_c_by_power(TABLE28, Fraction(3, 2), 10)
 
+    def test_rejects_order_past_the_table(self):
+        with pytest.raises(ValueError, match="m exceeds the table size"):
+            verify_c_by_power(compute_coefficients(4), 3, 6)
+
     def test_detects_corruption(self):
         t = compute_coefficients(6)
         broken = type(t)(
