@@ -12,39 +12,34 @@ Exit codes: 0 on success, 2 for usage errors, 1 for I/O errors.  All CSV
 output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
 and floats at 17 significant digits (round-trip precision).  The rows of
 the float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a
-time: forked workers on the CPUs the process may use format them, while
-``integrate``'s grid is still stepped on one CPU left to it.  With one CPU,
-a single chunk, no ``fork`` or another thread running, each chunk is
-formatted in the process itself, to the same bytes.
+time from the stepped grid: forked workers on the CPUs the process may use
+format them while the next chunk is stepped.  With one CPU, a single
+chunk, no ``fork`` or another thread running, each chunk is formatted in
+the process itself, to the same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .evaluation import eval_series_float
 from .integrate import (
+    CHUNK_ROWS,
     IntegratorConfig,
     SeedDivergenceError,
     _midpoint_run,
-    solve_midpoint,
 )
 from .series import MAX_ORDER, compute_coefficients, evaluate_table
 
 USAGE_ERROR = 2
 IO_ERROR = 1
-
-# Rows of a float CSV formatted, joined and written at a time.  Larger
-# chunks gain little speed and raise peak memory: each holds its columns
-# as Python floats and its joined text at once.  A float CSV's header and
-# summary lines are written apart from its chunks of rows.
-CHUNK_ROWS = 4096
 
 # Most repetitions ``bench --reps`` may ask for: one at ``MAX_ORDER``
 # takes about 10 s, and the best of a few already drops scheduler noise.
@@ -90,23 +85,24 @@ def cmd_integrate(n: float, cfg: IntegratorConfig, out_path: str) -> None:
     The rows are formatted and written while the grid is still being
     stepped.
     """
-    run = _midpoint_run(n, cfg, CHUNK_ROWS)
-    # seeds the grid, so that its errors come before --out is opened
-    columns = next(run)
     summary = []
 
-    def stepping():
-        result = yield from run
-        zero = "none" if result.first_zero is None else _fmt(result.first_zero)
+    def chunks():
+        _, zero = yield from _midpoint_run(n, cfg, CHUNK_ROWS)
+        zero = "none" if zero is None else _fmt(zero)
         summary.append(f"# first_zero={zero}")
 
-    _write_floats(out_path, "x,F,H", columns, stepping(), summary)
+    _write_floats(out_path, "x,F,H", chunks(), summary)
 
 
 def cmd_compare(
     n: float, m: int, cfg: IntegratorConfig, out_path: str
 ) -> None:
-    """Series vs. numeric solution over the integration grid (CSV)."""
+    """Series vs. numeric solution over the integration grid (CSV).
+
+    Each chunk of the grid gets its series and error columns, and is
+    written, while the grid is still being stepped.
+    """
     # numpy is imported at first use: compare is the one command to load it
     import numpy as np
 
@@ -114,10 +110,13 @@ def cmd_compare(
     # Rounded before the run, so that an --n whose a_k(n) passes the float
     # range is reported as such and not as a seed too coarse for --dx.
     series.even_floats
-    result = solve_midpoint(n, cfg)
-    sv = eval_series_float(series, result.xs)
-    columns = (result.xs, sv, result.Fs, np.abs(sv - result.Fs))
-    _write_floats(out_path, "x,series,numeric,abs_err", columns)
+
+    def chunks():
+        for xs, Fs, _ in _midpoint_run(n, cfg, CHUNK_ROWS):
+            sv = eval_series_float(series, xs)
+            yield xs, sv, Fs, np.abs(sv - Fs)
+
+    _write_floats(out_path, "x,series,numeric,abs_err", chunks())
 
 
 def run_bench(m_max: int, step: int, reps: int) -> list[tuple[int, float]]:
@@ -160,30 +159,31 @@ def _write_lines(out_path: str, lines: list[str]) -> None:
 def _write_floats(
     out_path: str,
     head: str,
-    columns: Sequence[Sequence[float]],
-    stepping=(),
+    chunks: Iterable[Sequence[Sequence[float]]],
     tail: Sequence[str] = (),
 ) -> None:
-    """Write ``head``, one ``.17g`` row per element of ``columns``, ``tail``.
+    """Write ``head``, one ``.17g`` row per sample of ``chunks``, ``tail``.
 
-    ``columns`` are equal-length float64 buffers (``array("d")`` or
-    ndarray), and a row holds the text :func:`_fmt` gives for each of its
-    fields.  Each item of ``stepping`` means that rows were appended to
-    the columns; ``tail`` is read once ``stepping`` is exhausted.  The
-    rows are written by :class:`_Workers`.
+    Each of ``chunks`` is a tuple of equal-length float64 columns
+    (``array("d")`` or ndarray) of 1 to ``CHUNK_ROWS`` rows, and a row
+    holds the text :func:`_fmt` gives for each of its fields.  ``tail`` is
+    read once ``chunks`` is exhausted.  The first two chunks are taken
+    before ``out_path`` is opened: a run raises the errors of its start,
+    the seed's among them, on the first, and a second chunk decides
+    whether :class:`_Workers` forks.
     """
-    with open(out_path, "wb") as fh, _Workers(fh, columns) as workers:
+    chunks = iter(chunks)
+    ahead = list(itertools.islice(chunks, 2))
+    with open(out_path, "wb") as fh, _Workers(fh) as workers:
         fh.write(f"{head}\n".encode("ascii"))
-        for _ in stepping:
-            workers.write(done=False)
-        workers.write(done=True)
+        workers.write(itertools.chain(ahead, chunks), fork=len(ahead) == 2)
         fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
 
 
-def _chunk_text(fields: list[memoryview]) -> bytes:
+def _chunk_text(fields: Sequence[Sequence[float]]) -> bytes:
     """The ASCII CSV rows, each ending in ``\\n``, of the float64 ``fields``."""
     row = ",".join(["{:.17g}"] * len(fields)) + "\n"
-    columns = [view.tolist() for view in fields]
+    columns = [field.tolist() for field in fields]
     return "".join(map(row.format, *columns)).encode("ascii")
 
 
@@ -207,40 +207,25 @@ def _fork_is_safe() -> bool:
 
 
 class _Workers:
-    """Writes the rows of ``columns`` to ``out``, ``CHUNK_ROWS`` at a time.
+    """Writes the text of chunks of float rows to ``out``, in order.
 
-    Each :meth:`write` writes the chunks that are ready, in order.  Whether
-    to fork formatting workers is decided once, when a second chunk is
-    ready or the columns are complete; chunk 0 waits for that.  With ``k``
-    usable CPUs, ``k - 1`` workers run while the columns grow, leaving a
-    CPU to the stepping, and up to ``k`` once they are complete; none
-    starts without a chunk to format.  With one usable CPU, a single chunk,
-    no ``fork``, or another thread running, each ready chunk is formatted
-    in this process on the same call.
+    Given two chunks or more (``fork``), ``k >= 2`` usable CPUs, the
+    ``fork`` start method and no other thread running, :meth:`write` forks
+    a worker for each of the first ``k`` chunks.  Chunk ``i`` then goes to
+    worker ``i % k`` once that worker's text of chunk ``i - k`` has been
+    received and written: the texts come back in order, at most ``k``
+    chunks are out, and the next chunk is stepped while the workers
+    format.  Otherwise each chunk is formatted in this process.
 
-    A worker is sent the float64 bytes of one chunk at a time, one message
-    a column and read straight from the columns, and gets the next as soon
-    as it hands back its text, so a worker that the host runs slower takes
-    fewer chunks instead of holding up the others.  Every text is received
-    into one buffer: the text due next is written from it at once, and one
-    that arrives early is copied out to wait.  The workers are stopped and
-    joined when the ``with`` block exits, however it exits.
+    A worker is sent the float64 bytes of a chunk, one message a column.
+    Every text is received into one buffer and written from it.  The
+    workers are stopped and joined when the ``with`` block exits, however
+    it exits.
     """
 
-    def __init__(self, out, columns: Sequence[Sequence[float]]):
+    def __init__(self, out):
         self.out = out
-        self.columns = columns
-        self.cpus = _usable_cpus()
-        # decided on the first write with two chunks or complete columns
-        self.forking = None if self.cpus >= 2 else False
-        self.written = 0  # chunks written so far, in order
-        self.sent = 0  # chunks sent so far, in order
         self.procs, self.conns = [], []
-        self.held = {}  # worker connection -> the chunk number it formats
-        self.texts = {}  # chunk number -> its text, until it is written
-        # every text is received into this buffer, large enough for any: a
-        # .17g field takes at most 24 characters and a comma or newline
-        self.buf = bytearray(CHUNK_ROWS * len(columns) * 25)
 
     def __enter__(self):
         return self
@@ -253,96 +238,55 @@ class _Workers:
         for conn in self.conns:
             conn.close()
 
-    def write(self, done: bool) -> None:
-        """Write the chunks ready so far; ``done`` once the columns are complete.
+    def write(self, chunks: Iterable[Sequence[Sequence[float]]],
+              fork: bool) -> None:
+        """Write the text of every chunk; ``fork`` if there are two or more."""
+        cpus = _usable_cpus()
+        if not (fork and cpus >= 2 and _fork_is_safe()):
+            for chunk in chunks:
+                self.out.write(_chunk_text(chunk))
+            return
+        busy = []  # the connections of the chunks out, oldest first
+        for chunk in chunks:
+            if len(self.conns) < cpus:
+                conn = self._fork(len(chunk))
+            else:
+                conn = busy.pop(0)
+                self._receive(conn)
+            for column in chunk:
+                conn.send_bytes(column)
+            busy.append(conn)
+        for conn in busy:
+            self._receive(conn)
 
-        A chunk is ready once its last row exists, or once ``done``.  Without
-        ``done``, texts the workers have not sent back wait for a later call.
-        """
-        rows = len(self.columns[0])
-        ready = -(-rows // CHUNK_ROWS) if done else rows // CHUNK_ROWS
-        if self.forking is None and (done or ready >= 2):
-            self.forking = ready >= 2 and _fork_is_safe()
-        if self.forking:
-            # k - 1 workers, then k, and none without a chunk to format
-            unsent = ready - self.sent
-            self._fork(min(self.cpus - (not done), len(self.held) + unsent))
-            self._collect(ready, done)
-        elif self.forking is False:
-            for chunk in range(self.written, ready):
-                self.out.write(_chunk_text(self._fields(chunk)))
-            self.written = ready
-
-    def _fields(self, chunk: int) -> list[memoryview]:
-        """Views of the rows of chunk number ``chunk``, one a column."""
-        # an array("d") cannot grow while a view of it exists: the views
-        # are dropped before write returns
-        lo = chunk * CHUNK_ROWS
-        return [memoryview(col)[lo:lo + CHUNK_ROWS] for col in self.columns]
-
-    def _fork(self, count: int) -> None:
-        """Start workers until ``count`` of them run."""
+    def _fork(self, width: int):
+        """Start a worker for chunks of ``width`` columns; return its end."""
         # No pool: it would receive the texts on a thread of its own, and
         # that thread's heap kept several MB resident after each run.
         import multiprocessing
 
+        if not self.conns:
+            # every text is received into this buffer, large enough for
+            # any: a .17g field takes at most 24 characters and a comma or
+            # newline
+            self.buf = bytearray(CHUNK_ROWS * width * 25)
         context = multiprocessing.get_context("fork")
-        while len(self.procs) < count:
-            conn, child_conn = context.Pipe()
-            self.conns.append(conn)
-            proc = context.Process(
-                target=_format_chunks, args=(len(self.columns), child_conn)
-            )
-            proc.start()
-            self.procs.append(proc)
-            # the worker holds the only other end now, so should it die,
-            # the parent's recv raises EOFError instead of waiting
-            child_conn.close()
+        conn, child_conn = context.Pipe()
+        self.conns.append(conn)
+        proc = context.Process(target=_format_chunks, args=(width, child_conn))
+        proc.start()
+        self.procs.append(proc)
+        # the worker holds the only other end now, so should it die, the
+        # parent's recv raises EOFError instead of waiting
+        child_conn.close()
+        return conn
 
-    def _collect(self, ready: int, block: bool) -> None:
-        """Write the workers' texts of the first ``ready`` chunks, in order.
-
-        A worker is sent the next of the first ``ready`` chunks whenever it
-        has none, unless that chunk lies ``2 * len(self.conns)`` chunks or
-        more past the one to write next: the texts that came back early
-        wait here, and the window bounds them.  With ``block`` this waits
-        for every chunk before ``ready``; without, it writes only those
-        whose texts are back already.
-        """
-        from multiprocessing.connection import wait
-
-        self._send(ready)
-        while self.written < ready:
-            if self.held:
-                # chunk ``written`` is held when it is not back: every
-                # chunk before it has come back, so a worker was free
-                for conn in wait(list(self.held), None if block else 0):
-                    size = conn.recv_bytes_into(self.buf)
-                    if not size:  # the worker failed, and sends its error
-                        raise conn.recv()
-                    chunk = self.held.pop(conn)
-                    text = memoryview(self.buf)[:size]
-                    # the next receive overwrites the buffer: the text due
-                    # next is written below, and one that must wait is copied
-                    self.texts[chunk] = (
-                        text if chunk == self.written else bytes(text)
-                    )
-                    while self.written in self.texts:
-                        self.out.write(self.texts.pop(self.written))
-                        self.written += 1
-            self._send(ready)
-            if not block:
-                return
-
-    def _send(self, ready: int) -> None:
-        window = 2 * len(self.conns)
-        for conn in self.conns:
-            if (conn not in self.held
-                    and self.sent < min(ready, self.written + window)):
-                for view in self._fields(self.sent):
-                    conn.send_bytes(view)
-                self.held[conn] = self.sent
-                self.sent += 1
+    def _receive(self, conn) -> None:
+        """Write the text that ``conn``'s worker sends back for its chunk."""
+        size = conn.recv_bytes_into(self.buf)
+        if not size:  # the worker failed, and sends its error
+            raise conn.recv()
+        self.out.write(memoryview(self.buf)[:size])
 
 
 def _format_chunks(width: int, conn) -> None:

@@ -19,9 +19,11 @@ the rejected sample) or when the next grid point would pass ``xmax``
 (termination ``reached_xmax``; the cap exists because for n >= 5 the
 solution stays positive forever).
 
-The samples are stored in three ``array("d")`` buffers, 24 bytes a grid
-point, and the result holds those buffers themselves, not copies.  They
-export the buffer protocol, so an array library can view them in place.
+A run hands over its samples a chunk at a time, each in three
+``array("d")`` buffers of its own, and between chunks keeps only the last
+sample, the one the next step reads.  :func:`solve_midpoint` gathers the
+chunks into three buffers, 24 bytes a grid point; they export the buffer
+protocol, so an array library can view them in place.
 """
 
 from __future__ import annotations
@@ -42,8 +44,15 @@ CROSSED_ZERO: Termination = "crossed_zero"
 REACHED_XMAX: Termination = "reached_xmax"
 
 # Most grid points one run may cover, ``xmax / dx``.  At 24 bytes a stored
-# sample this bounds a run's samples to about 1.2 GB.
+# sample this bounds the buffers of a :func:`solve_midpoint` result to about
+# 1.2 GB; a run streamed chunk by chunk holds one chunk at a time.
 MAX_STEPS = 50_000_000
+
+# Most samples a run hands over at a time, and so the rows of a float CSV
+# formatted, joined and written at a time.  Larger chunks gain little speed
+# and raise peak memory: a chunk is held as Python floats and as joined
+# text while it is formatted.
+CHUNK_ROWS = 4096
 
 # Order of the truncated series that seeds the grid points x <= 3*dx.
 SEED_ORDER = 10
@@ -142,22 +151,26 @@ def solve_midpoint(n: float, cfg: IntegratorConfig) -> IntegrationResult:
     ``first_zero`` estimate.  A negative or non-finite ``n`` raises
     ValueError before any work is done.
     """
-    # xmax/dx <= MAX_STEPS: a run of chunks that long pauses once at most
-    run = _midpoint_run(n, cfg, MAX_STEPS)
+    columns = (array("d"), array("d"), array("d"))
+    run = _midpoint_run(n, cfg, CHUNK_ROWS)
     while True:
         try:
-            next(run)
+            chunk = next(run)
         except StopIteration as done:
-            return done.value
+            return IntegrationResult(*columns, *done.value)
+        for column, part in zip(columns, chunk):
+            column.extend(part)
 
 
 def _midpoint_run(n: float, cfg: IntegratorConfig, chunk: int):
     """The run of :func:`solve_midpoint`, a ``chunk`` of samples at a time.
 
-    Yields the buffers ``(xs, Fs, Hs)`` once the grid is seeded, so that
-    the first ``next`` raises whatever the seed raises, and again each
-    time the number of stored samples reaches a multiple of ``chunk``.
-    Returns the :class:`IntegrationResult`.
+    Yields ``(xs, Fs, Hs)``, three ``array("d")`` of its own for each
+    chunk, which the run never touches again: the first holds the origin,
+    the seeded samples and the steps after them, up to ``max(chunk, 4)``
+    samples, and each later one up to ``chunk`` more.  No chunk is empty.
+    Returns ``(termination, first_zero)``.  The first ``next`` raises
+    whatever the seed raises.
     """
     if not (math.isfinite(n) and n >= 0):
         raise ValueError("index n must be finite and nonnegative")
@@ -166,8 +179,7 @@ def _midpoint_run(n: float, cfg: IntegratorConfig, chunk: int):
     Fs = array("d", [1.0])
     Hs = array("d", [0.0])
 
-    crossed = False
-    x_reject = f_reject = 0.0
+    stop = None
     for i in (1, 2, 3):
         # x <= 3*dx < xmax: IntegratorConfig requires xmax > 3*dx, the
         # same float product, so every seeded point lies inside the cap.
@@ -176,25 +188,29 @@ def _midpoint_run(n: float, cfg: IntegratorConfig, chunk: int):
         if F < 0.0:
             # Step too coarse for the seed region; treat like a rejected
             # stepped sample so the zero can still be bracketed.
-            crossed = True
-            x_reject, f_reject = x, F
+            stop = True, x, F
             break
         xs.append(x)
         Fs.append(F)
         Hs.append(H)
-    yield xs, Fs, Hs
-    if not crossed:
-        grid = (float(n), dx, float(cfg.xmax), xs, Fs, Hs)
-        while (stop := _kernels.midpoint_steps(
-            *grid, (len(xs) // chunk + 1) * chunk
-        )) is None:
-            yield xs, Fs, Hs
-        crossed, x_reject, f_reject = stop
 
-    if crossed:
-        termination = CROSSED_ZERO
-        zero = interpolate_zero(xs[-1], Fs[-1], x_reject, f_reject)
-    else:
-        termination = REACHED_XMAX
-        zero = None
-    return IntegrationResult(xs, Fs, Hs, termination, zero)
+    grid = (float(n), dx, float(cfg.xmax))
+    carried = 0  # 1 once each chunk starts from the last sample before it
+    while True:
+        if stop is None:
+            stop = _kernels.midpoint_steps(*grid, xs, Fs, Hs, carried + chunk)
+        # the one sample that the next step and the zero's interpolation read
+        last = xs[-1], Fs[-1], Hs[-1]
+        if carried:
+            del xs[0], Fs[0], Hs[0]
+        if xs:
+            yield xs, Fs, Hs
+        if stop is not None:
+            break
+        xs, Fs, Hs = (array("d", [value]) for value in last)
+        carried = 1
+
+    crossed, x_reject, f_reject = stop
+    if not crossed:
+        return REACHED_XMAX, None
+    return CROSSED_ZERO, interpolate_zero(*last[:2], x_reject, f_reject)

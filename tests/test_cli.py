@@ -9,14 +9,23 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from array import array
+from fractions import Fraction
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
 
-from lane_emden import _kernels, cli
+from lane_emden import (
+    IntegratorConfig,
+    _kernels,
+    cli,
+    compute_coefficients,
+    eval_series_float,
+    evaluate_table,
+    solve_midpoint,
+)
 from lane_emden.parsing import MAX_DEGREE
 from lane_emden.series import MAX_ORDER
 
@@ -225,19 +234,22 @@ class TestOutputBytes:
 
 class TestChunkText:
     def test_every_chunk_matches_the_eager_lines(self, monkeypatch):
-        monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
         columns = (array("d", [0.0, 0.1, 1e300, -0.0, 5e-324]),
                    np.array([1.0, 2.0 / 3.0, math.inf, 1e-7, -2.5]))
         eager = [",".join(cli._fmt(v) for v in row) + "\n"
                  for row in zip(*columns)]
-        # formatted in process: two whole chunks while the columns grow,
-        # then the short last one
+        # formatted in process: two whole chunks of two rows, then the
+        # short last one, each written before the next is made
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         out = io.BytesIO()
-        with cli._Workers(out, columns) as workers:
-            workers.write(done=False)
-            assert out.getvalue() == "".join(eager[:4]).encode()
-            workers.write(done=True)
+
+        def chunks():
+            for lo in range(0, 5, 2):
+                assert out.getvalue() == "".join(eager[:lo]).encode()
+                yield tuple(column[lo:lo + 2] for column in columns)
+
+        with cli._Workers(out) as workers:
+            workers.write(chunks(), fork=True)
         assert out.getvalue() == "".join(eager).encode()
 
 
@@ -282,80 +294,46 @@ class TestFormattingWorkers:
         cpus(2)
         assert self.run(tmp_path, argv) == digest
 
-    def test_one_worker_while_stepping(self, tmp_path, cpus, monkeypatch):
-        cpus(2)
-        alive, forked = [], []
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_k_workers_at_most_k_chunks_out(
+        self, tmp_path, cpus, monkeypatch, count
+    ):
+        cpus(count)
+        # the column messages sent, and the chunks whose texts were written
+        alive, forked, sent, written = [], [], [0], [0]
         steps, leave = _kernels.midpoint_steps, cli._Workers.__exit__
+        send, receive = Connection.send_bytes, cli._Workers._receive
+        parent = os.getpid()
 
-        def counted(*args):
+        def counted_steps(*args):
             alive.append(len(multiprocessing.active_children()))
             return steps(*args)
+
+        def counted_send(conn, *args):
+            if os.getpid() == parent:  # a worker sends its text, too
+                sent[0] += 1
+                # three columns a chunk: never more than k chunks out
+                assert -(-sent[0] // 3) - written[0] <= count
+            return send(conn, *args)
+
+        def counted_receive(workers, conn):
+            written[0] += 1
+            return receive(workers, conn)
 
         def counted_exit(workers, *exc_info):
             forked.append(len(workers.procs))
             return leave(workers, *exc_info)
 
-        monkeypatch.setattr(_kernels, "midpoint_steps", counted)
+        monkeypatch.setattr(_kernels, "midpoint_steps", counted_steps)
+        monkeypatch.setattr(Connection, "send_bytes", counted_send)
+        monkeypatch.setattr(cli._Workers, "_receive", counted_receive)
         monkeypatch.setattr(cli._Workers, "__exit__", counted_exit)
         argv, digest = self.CASES[0]
         assert self.run(tmp_path, argv) == digest
-        # one worker formats beside the stepping, a second joins after it
-        assert max(alive) == 1
-        assert forked == [2]
-
-    def test_slow_worker_takes_fewer_chunks(self, monkeypatch):
-        # two thread "workers" behind real pipes, one 20 times slower;
-        # chunk k holds the value k in each of its 40 rows
-        monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
-        total = 30
-        columns = (array("d", [i // 40 for i in range(40 * total)]),)
-        window = 4  # 2 * workers
-        log, taken = [], {}
-
-        def work(conn, name, delay):
-            taken[name] = []
-            try:
-                while True:
-                    chunk = int(memoryview(conn.recv_bytes()).cast("d")[0])
-                    log.append(("sent", chunk))
-                    taken[name].append(chunk)
-                    time.sleep(delay)
-                    conn.send_bytes(f"chunk {chunk}".encode())
-            except EOFError:
-                conn.close()
-
-        class Out:
-            def __init__(self):
-                self.texts = []
-
-            def write(self, text):
-                self.texts.append(bytes(text))
-                log.append(("written", None))
-
-        out = Out()
-        workers = cli._Workers(out, columns)
-        threads = []
-        for name, delay in (("fast", 0.001), ("slow", 0.02)):
-            conn, child = multiprocessing.Pipe()
-            workers.conns.append(conn)
-            thread = threading.Thread(target=work, args=(child, name, delay))
-            thread.start()
-            threads.append(thread)
-        try:
-            workers._collect(total, True)
-        finally:
-            for conn in workers.conns:
-                conn.close()
-            for thread in threads:
-                thread.join(10)
-        assert out.texts == [f"chunk {k}".encode() for k in range(total)]
-        assert len(taken["slow"]) < len(taken["fast"])
-        written = 0
-        for event, chunk in log:
-            if event == "written":
-                written += 1
-            else:
-                assert chunk < written + window
+        # every worker formats while the grid is still being stepped
+        assert max(alive) == count
+        assert forked == [count]
+        assert sent[0] == 3 * written[0] == 3 * 173  # 6,897 rows, 40 a chunk
 
     @pytest.mark.parametrize("argv, digest", CASES)
     def test_one_cpu_formats_in_process(
@@ -459,19 +437,19 @@ class TestFormattingWorkers:
 class TestChunkBoundaries:
     """``_write_floats`` at 40-row chunks, on each side of a boundary.
 
-    Chunk 0 waits until a second chunk is ready or the columns are
-    complete, and that decides whether workers are forked.  The columns
-    are passed complete, or grown by a ``stepping`` that yields at each
-    chunk boundary and appends a last short chunk without a yield, as
-    ``integrate``'s run does.  The usable CPU count is forced, and workers
-    are forked only where there are two CPUs and two chunks.
+    The rows come as an iterator of chunks of at most 40 rows, as a run
+    hands them over, in ``array("d")`` columns as ``integrate``'s, or in
+    ndarray views as ``compare``'s computed columns.  Chunk 0 waits until
+    a second chunk comes or the chunks end, and that decides whether
+    workers are forked.  The usable CPU count is forced, and workers are
+    forked only where there are two CPUs and two chunks.
     """
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("rows", [1, 39, 40, 41, 80, 81, 200])
-    @pytest.mark.parametrize("growing", [False, True])
+    @pytest.mark.parametrize("ndarray", [False, True])
     def test_bytes_equal_the_eager_lines(
-        self, tmp_path, monkeypatch, cpus, rows, growing
+        self, tmp_path, monkeypatch, cpus, rows, ndarray
     ):
         monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
@@ -486,49 +464,82 @@ class TestChunkBoundaries:
                   [math.sin(i) * 10.0 ** (i % 41 - 20) for i in range(rows)])
         eager = "".join(",".join(cli._fmt(v) for v in row) + "\n"
                         for row in zip(*values))
-        if growing:
-            columns = (array("d"), array("d"))
-
-            def stepping():
-                for stop in range(40, rows + 40, 40):
-                    for col, vals in zip(columns, values):
-                        col.extend(vals[len(col):stop])
-                    if stop <= rows:
-                        yield
-
-            steps = stepping()
-        else:
-            columns = (array("d", values[0]), np.array(values[1]))
-            steps = ()
+        make = np.array if ndarray else (lambda vals: array("d", vals))
+        columns = [make(vals) for vals in values]
+        chunks = (tuple(col[lo:lo + 40] for col in columns)
+                  for lo in range(0, rows, 40))
         out = tmp_path / "out.csv"
-        cli._write_floats(str(out), "x,y", columns, steps, ["# end"])
+        cli._write_floats(str(out), "x,y", chunks, ["# end"])
         assert read_bytes(out) == f"x,y\n{eager}# end\n".encode()
         assert bool(forks) == (cpus > 1 and rows > 40)
         assert multiprocessing.active_children() == []
 
+    # 80 samples, 2 chunks: the step after the second chunk passes xmax
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["integrate", "compare"])
+    def test_run_ending_on_a_boundary(
+        self, tmp_path, monkeypatch, cpus, command
+    ):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        cfg = IntegratorConfig(dx=0.125, xmax=9.875)
+        r = solve_midpoint(5.0, cfg)
+        assert len(r.xs) == 80 and r.termination == "reached_xmax"
+        if command == "integrate":
+            argv = []
+            rows = zip(r.xs, r.Fs, r.Hs)
+            lines = ["x,F,H"] + [",".join(map(cli._fmt, row)) for row in rows]
+            lines.append("# first_zero=none")
+        else:
+            argv = ["--m", "10"]
+            series = evaluate_table(compute_coefficients(10), Fraction(5))
+            lines = ["x,series,numeric,abs_err"]
+            for x, f in zip(r.xs, r.Fs):
+                sv = eval_series_float(series, x)
+                lines.append(",".join(map(cli._fmt, (x, sv, f, abs(sv - f)))))
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--n", "5", *argv, "--dx", "0.125",
+                         "--xmax", "9.875", "--out", str(out)]) == 0
+        assert read_bytes(out) == ("\n".join(lines) + "\n").encode()
+        assert multiprocessing.active_children() == []
+
 
 class TestMemory:
-    """Float output holds 24 bytes a sample plus one chunk of text.
+    """Float output holds one chunk of samples plus at most ``k`` texts.
 
     Holding the samples as Python floats, or the text of the whole file,
-    would each add several MiB at these 69,000-row grids.
+    would each add several MiB at these 69,000-row grids, and holding
+    every sample 1.6 MiB (``integrate``) or 2.6 MiB (``compare``).
     """
 
-    @pytest.mark.parametrize("argv, limit_mib", [
+    CASES = [
         (["integrate", "--n", "3", "--dx", "1e-4"], 4),
         (["compare", "--n", "3", "--m", "28", "--dx", "1e-4"], 6),
-    ])
-    def test_traced_peak(self, tmp_path, argv, limit_mib):
-        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    ]
+
+    @staticmethod
+    def traced_peak(argv):
         # the warm-up fills the coefficient caches
         assert cli.main(argv) == 0
         tracemalloc.start()
         try:
             assert cli.main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    @pytest.mark.parametrize("argv, limit_mib", CASES)
+    def test_traced_peak(self, tmp_path, argv, limit_mib):
+        peak = self.traced_peak(argv + ["--out", str(tmp_path / "out.csv")])
         assert peak < limit_mib * 2**20
+
+    @pytest.mark.parametrize("argv", [argv for argv, _ in CASES])
+    def test_peak_does_not_grow_with_the_grid(self, tmp_path, argv):
+        # 2 chunks at dx = 1e-3, 17 at 1e-4
+        out = ["--out", str(tmp_path / "out.csv")]
+        coarse = self.traced_peak(argv[:-1] + ["1e-3"] + out)
+        fine = self.traced_peak(argv + out)
+        assert fine - coarse < 2**19
 
 
 class TestBench:
@@ -617,7 +628,6 @@ class TestExitCodes:
         def never(*args):
             raise AssertionError("solver started")
 
-        monkeypatch.setattr(cli, "solve_midpoint", never)
         monkeypatch.setattr(cli, "_midpoint_run", never)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path / "unused.csv")])

@@ -247,7 +247,7 @@ class TestSampleStorage:
 
 
 class TestPausedRun:
-    """A run paused every ``chunk`` samples is bit for bit an unpaused one."""
+    """A run handed over ``chunk`` samples at a time is bit for bit whole."""
 
     @pytest.mark.parametrize("n_value, dx, xmax, stop", [
         (3.0, 1e-3, 50.0, "crossed_zero"),
@@ -262,21 +262,31 @@ class TestPausedRun:
         stored = len(whole.xs)
         chunk = chunk or stored
         run = _midpoint_run(n_value, cfg, chunk)
-        sizes = []
+        parts = []
         while True:
             try:
-                xs, _, _ = next(run)
+                parts.append(next(run))
             except StopIteration as done:
-                paused = done.value
+                termination, first_zero = done.value
                 break
-            sizes.append(len(xs))
-        assert sizes == [4] + [k for k in range(chunk, stored + 1, chunk)
-                               if k > 4]
-        assert paused.termination == whole.termination == stop
-        assert paused.first_zero == whole.first_zero
-        for got, want in ((paused.xs, whole.xs), (paused.Fs, whole.Fs),
-                          (paused.Hs, whole.Hs)):
-            assert got.tobytes() == want.tobytes()
+        # the origin and the three seeded samples come in the first chunk,
+        # and no chunk is empty
+        ends = [*range(max(chunk, 4), stored, chunk), stored]
+        sizes = [end - start for start, end in zip([0] + ends, ends)]
+        assert [len(xs) for xs, _, _ in parts] == sizes
+        assert termination == whole.termination == stop
+        assert first_zero == whole.first_zero
+        for i, want in enumerate((whole.xs, whole.Fs, whole.Hs)):
+            got = [part[i] for part in parts]
+            assert all(isinstance(a, array) and a.typecode == "d"
+                       for a in got)
+            assert b"".join(a.tobytes() for a in got) == want.tobytes()
+
+    def test_no_empty_chunk(self):
+        # 80 samples: the step after the second chunk's pause passes xmax
+        cfg = IntegratorConfig(dx=0.125, xmax=9.875)
+        run = _midpoint_run(5.0, cfg, 40)
+        assert [len(xs) for xs, _, _ in run] == [40, 40]
 
     def test_kernel_pauses_at_the_bound(self):
         xs, Fs, Hs = [1.0], [1.0], [0.0]

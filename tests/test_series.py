@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from lane_emden import (
     IndexPolynomial,
+    IntegratorConfig,
     N,
     compute_coefficients,
     evaluate_table,
     parse_expression,
+    solve_midpoint,
     verify_c_by_power,
 )
 from lane_emden._kernels import _interpolate, lee_series_tables
@@ -290,3 +292,46 @@ class TestIntegerClearedPower:
         for _ in range(q):
             want = mul_truncated(want, b, m)
         assert _power_truncated(b, q, m) == want
+
+
+class TestRadiusOfConvergence:
+    """The series' radius of convergence against the integrator's first zero.
+
+    For a non-integer ``n``, ``f**n`` has a branch point where ``f = 0``, so
+    the even series in ``u = x**2`` converges up to ``xi_1**2`` unless a
+    complex singularity lies closer.  The radius is fitted from the ratios
+    ``r_k = a_{2k} / a_{2k-2}`` of the exact coefficients, extrapolated
+    linearly in ``1/k`` through the last two of them (Domb & Sykes 1957).
+    """
+
+    TABLE = compute_coefficients(140)
+
+    def ratios(self, n_value):
+        a = evaluate_table(self.TABLE, n_value).a_values[::2]
+        return [float(a[k] / a[k - 1]) for k in range(1, len(a))]
+
+    def fitted_radius(self, n_value):
+        ratios = self.ratios(n_value)
+        # the line through (1/(K-1), r_{K-1}) and (1/K, r_K), at 1/k = 0
+        limit = ratios[-1] + (ratios[-1] - ratios[-2]) * (len(ratios) - 1)
+        return abs(limit) ** -0.5
+
+    @pytest.mark.parametrize("n_value, first_zero", [
+        (Fraction(1, 2), 2.75269805),
+        (Fraction(3, 2), 3.65375374),
+    ])
+    def test_radius_is_the_first_zero(self, n_value, first_zero):
+        radius = self.fitted_radius(n_value)
+        numeric = solve_midpoint(float(n_value), IntegratorConfig(dx=1e-4))
+        assert radius == pytest.approx(numeric.first_zero, rel=1e-3)
+        assert radius == pytest.approx(first_zero, rel=1e-3)
+
+    def test_index_3_singularity_is_complex(self):
+        # the ratios settle at a negative limit: the nearest singularity is
+        # off the real axis, well inside the first zero
+        ratios = self.ratios(Fraction(3))
+        assert all(r < 0 for r in ratios[-10:])
+        radius = self.fitted_radius(Fraction(3))
+        assert radius == pytest.approx(2.575, abs=1e-3)
+        numeric = solve_midpoint(3.0, IntegratorConfig(dx=1e-4))
+        assert numeric.first_zero == pytest.approx(6.897, abs=1e-3)
