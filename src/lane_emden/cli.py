@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import sys
 import time
@@ -34,6 +33,7 @@ from .integrate import (
     CHUNK_ROWS,
     IntegratorConfig,
     SeedDivergenceError,
+    _check_index,
     _midpoint_run,
 )
 from .series import MAX_ORDER, compute_coefficients, evaluate_table
@@ -316,43 +316,19 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {text!r}: {exc}")
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+def _bounded_int(low: int, high: int):
+    """Option type: an integer from ``low`` through ``high``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be between {low} and {high}"
+            )
+        return value
 
-
-def _order(text: str) -> int:
-    """Table order (``--m``, ``--mmax``): 0 through ``series.MAX_ORDER``."""
-    value = _nonneg_int(text)
-    if value > MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_ORDER}")
-    return value
-
-
-def _reps(text: str) -> int:
-    """Bench repetitions (``--reps``): 1 through ``MAX_REPS``."""
-    value = int(text)
-    if not 1 <= value <= MAX_REPS:
-        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_REPS}")
-    return value
-
-
-def _index(text: str) -> float:
-    """Polytropic index of the float commands: finite and >= 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError("must be finite and >= 0")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """Grid step or integration cap: finite and > 0."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be finite and > 0")
-    return value
+    # argparse names a type whose int() fails: "invalid int value: 'abc'"
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    order = _bounded_int(0, MAX_ORDER)
 
     p = sub.add_parser("coeffs", help="write symbolic coefficients to a file")
-    p.add_argument("--m", type=_order, required=True,
+    p.add_argument("--m", type=order, required=True,
                    help="highest coefficient index")
     p.add_argument("--out", required=True, help="output path")
     p.add_argument("--format", choices=("paper", "csv"), default="paper",
@@ -375,40 +352,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="print coefficients for a fixed index")
     p.add_argument("--n", type=_rational, required=True,
                    help="index as an exact rational, e.g. 3 or 3/2")
-    p.add_argument("--m", type=_order, required=True,
+    p.add_argument("--m", type=order, required=True,
                    help="highest coefficient index")
     p.add_argument("--out", help="also write the table to this path")
 
-    p = sub.add_parser("integrate", help="midpoint integration to CSV")
-    p.add_argument("--n", type=_index, required=True,
-                   help="index (float, finite, >= 0)")
-    p.add_argument("--dx", type=_positive_float, required=True,
-                   help="grid step")
-    p.add_argument("--xmax", type=_positive_float,
-                   default=IntegratorConfig.xmax,
-                   help="safety cap: for n >= 5 the solution never crosses "
-                        "zero, so integration stops at this x "
-                        "(default %(default)s)")
-    p.add_argument("--out", required=True, help="output CSV path")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--n", type=float, required=True,
+                     help="index (float, finite, >= 0)")
+    run.add_argument("--dx", type=float, required=True, help="grid step")
+    run.add_argument("--xmax", type=float, default=IntegratorConfig.xmax,
+                     help="safety cap: for n >= 5 the solution never crosses "
+                          "zero, so integration stops at this x "
+                          "(default %(default)s)")
+    run.add_argument("--out", required=True, help="output CSV path")
 
-    p = sub.add_parser("compare", help="series vs numeric solution CSV")
-    p.add_argument("--n", type=_index, required=True,
-                   help="index (float, finite, >= 0)")
-    p.add_argument("--m", type=_order, required=True,
+    sub.add_parser("integrate", parents=[run],
+                   help="midpoint integration to CSV")
+
+    p = sub.add_parser("compare", parents=[run],
+                       help="series vs numeric solution CSV")
+    p.add_argument("--m", type=order, required=True,
                    help="series truncation order")
-    p.add_argument("--dx", type=_positive_float, required=True,
-                   help="grid step")
-    p.add_argument("--xmax", type=_positive_float,
-                   default=IntegratorConfig.xmax,
-                   help="safety cap for the numeric run (default %(default)s)")
-    p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("bench", help="time the coefficient engine")
-    p.add_argument("--mmax", type=_order, required=True,
+    p.add_argument("--mmax", type=order, required=True,
                    help="largest table size to time")
-    p.add_argument("--step", type=_nonneg_int, default=10,
-                   help="table size increment (default 10)")
-    p.add_argument("--reps", type=_reps, default=3,
+    p.add_argument("--step", type=_bounded_int(2, MAX_ORDER), default=10,
+                   help="table size increment, at most --mmax (default 10)")
+    p.add_argument("--reps", type=_bounded_int(1, MAX_REPS), default=3,
                    help="repetitions per size, minimum is kept (default 3)")
     p.add_argument("--out", required=True, help="output CSV path")
     return parser
@@ -431,9 +402,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(text)
         elif args.command in ("integrate", "compare"):
             try:
+                _check_index(args.n)
                 cfg = IntegratorConfig(dx=args.dx, xmax=args.xmax)
             except ValueError as exc:
-                parser.error(str(exc))
+                # the library's checks, before any work: "<param>: <reason>"
+                parser.error(f"argument --{exc}")
             try:
                 if args.command == "integrate":
                     cmd_integrate(args.n, cfg, args.out)
@@ -446,8 +419,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 # raised before --out is opened, too
                 parser.error(f"argument --dx: {exc}")
         elif args.command == "bench":
-            if args.step < 2 or args.step > args.mmax:
-                parser.error("--step must satisfy 2 <= step <= mmax")
+            if args.step > args.mmax:
+                parser.error("argument --step: must not exceed --mmax")
             cmd_bench(args.mmax, args.step, args.reps, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

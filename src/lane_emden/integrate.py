@@ -64,23 +64,31 @@ class SeedDivergenceError(ValueError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Grid step and safety cap of one integration run."""
+    """Grid step and safety cap of one integration run.
+
+    A bad value raises ValueError(``"<param>: <reason>"``); the CLI prints
+    it after ``argument --``, so that it names the option.
+    """
 
     dx: float
     xmax: float = 50.0
 
     def __post_init__(self):
-        if not math.isfinite(self.dx) or not self.dx > 0:
-            raise ValueError("dx must be finite and positive")
-        if not math.isfinite(self.xmax):
-            # for n >= 5 the solution has no zero, so xmax alone stops it
-            raise ValueError("xmax must be finite")
+        # for n >= 5 the solution has no zero, so xmax alone stops it
+        for name in ("dx", "xmax"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and > 0")
         if not self.xmax > 3 * self.dx:
-            raise ValueError("xmax must exceed the seeded region 3*dx")
+            raise ValueError("xmax: must exceed the seeded region 3*dx")
         if self.xmax / self.dx > MAX_STEPS:
-            raise ValueError(
-                f"xmax/dx must not exceed {MAX_STEPS} grid steps"
-            )
+            raise ValueError(f"dx: xmax/dx must not exceed {MAX_STEPS} "
+                             "grid steps")
+
+
+def _check_index(n: float) -> None:
+    """Raise ValueError, as ``"n: <reason>"``, unless ``n`` is finite and >= 0."""
+    if not 0 <= n < math.inf:
+        raise ValueError("n: must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,7 @@ def _midpoint_run(n: float, cfg: IntegratorConfig, chunk: int):
     Returns ``(termination, first_zero)``.  The first ``next`` raises
     whatever the seed raises.
     """
-    if not (math.isfinite(n) and n >= 0):
-        raise ValueError("index n must be finite and nonnegative")
+    _check_index(n)
     dx = float(cfg.dx)
     xs = array("d", [0.0])
     Fs = array("d", [1.0])

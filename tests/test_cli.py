@@ -26,6 +26,7 @@ from lane_emden import (
     evaluate_table,
     solve_midpoint,
 )
+from lane_emden.integrate import MAX_STEPS
 from lane_emden.parsing import MAX_DEGREE
 from lane_emden.series import MAX_ORDER
 
@@ -156,12 +157,6 @@ class TestIntegrate:
         cli.main(args + ["--out", str(a)])
         cli.main(args + ["--out", str(b)])
         assert read_bytes(a) == read_bytes(b)
-
-    def test_xmax_inside_seed_region_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["integrate", "--n", "1", "--dx", "1", "--xmax", "2",
-                      "--out", "unused.csv"])
-        assert exc.value.code == cli.USAGE_ERROR
 
 
 class TestCompare:
@@ -554,11 +549,20 @@ class TestBench:
         assert ms == [10, 20, 30, 40]
         assert all(s >= 0.0 for s in secs)
 
-    def test_step_validation(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bench", "--mmax", "10", "--step", "20",
-                      "--out", "unused.csv"])
-        assert exc.value.code == cli.USAGE_ERROR
+    def test_step_validation(self, capsys, tmp_path):
+        out = tmp_path / "unused.csv"
+        for step, message in [
+            ("1", f"argument --step: must be between 2 and {MAX_ORDER}"),
+            ("20", "argument --step: must not exceed --mmax"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["bench", "--mmax", "10", "--step", step,
+                          "--out", str(out)])
+            assert exc.value.code == cli.USAGE_ERROR
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
 
 class TestExitCodes:
@@ -587,14 +591,19 @@ class TestExitCodes:
         ["integrate", "--n", "-1", "--dx", "0.1"],
         ["compare", "--n", "inf", "--m", "4", "--dx", "0.1"],
         ["compare", "--n", "-1", "--m", "4", "--dx", "0.1"],
+        ["integrate", "--n", "inf", "--dx", "0.1"],
+        ["integrate", "--n=-inf", "--dx", "0.1"],
+        ["compare", "--n", "nan", "--m", "4", "--dx", "0.1"],
     ])
-    def test_bad_index_rejected(self, argv, capsys):
+    def test_bad_index_rejected(self, argv, capsys, tmp_path):
+        out = tmp_path / "unused.csv"
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--out", "unused.csv"])
+            cli.main(argv + ["--out", str(out)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert "argument --n" in err
+        assert "argument --n: must be finite and nonnegative" in err
         assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, option", [
         (["integrate", "--n", "3", "--dx", "0.1", "--xmax", "inf"], "--xmax"),
@@ -604,16 +613,38 @@ class TestExitCodes:
         (["compare", "--n", "3", "--m", "4", "--dx", "0.1", "--xmax", "inf"],
          "--xmax"),
         (["compare", "--n", "3", "--m", "4", "--dx", "inf"], "--dx"),
+        (["integrate", "--n", "1", "--dx", "0"], "--dx"),
+        (["integrate", "--n", "3", "--dx", "-1"], "--dx"),
+        (["integrate", "--n", "3", "--dx", "0.1", "--xmax", "0"], "--xmax"),
+        (["integrate", "--n", "3", "--dx", "0.1", "--xmax", "-1"], "--xmax"),
+        (["compare", "--n", "3", "--m", "4", "--dx", "0"], "--dx"),
+        (["compare", "--n", "3", "--m", "4", "--dx", "-1"], "--dx"),
+        (["compare", "--n", "3", "--m", "4", "--dx", "0.1", "--xmax", "0"],
+         "--xmax"),
+        (["compare", "--n", "3", "--m", "4", "--dx", "0.1", "--xmax", "-1"],
+         "--xmax"),
+        (["integrate", "--n", "1", "--dx", "1", "--xmax", "2"], "--xmax"),
     ])
     def test_nonfinite_step_or_cap_rejected(
         self, argv, option, capsys, tmp_path
     ):
+        out = tmp_path / "unused.csv"
         with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
+            cli.main(argv + ["--out", str(out)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert f"argument {option}" in err
+        assert f"error: argument {option}: must " in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Fail the test should a table be built or a run be started."""
+        def never(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "compute_coefficients", never)
+        monkeypatch.setattr(cli, "_midpoint_run", never)
 
     @pytest.mark.parametrize("argv", [
         ["integrate", "--n", "3", "--dx", "1e-9"],
@@ -621,21 +652,33 @@ class TestExitCodes:
          "--xmax", "1e3"],
     ])
     def test_too_many_grid_steps_rejected(
-        self, argv, capsys, tmp_path, monkeypatch
+        self, argv, capsys, tmp_path, no_work
     ):
         # rejected while building the config; should that check go, the
         # run must still not start, for it would fill memory
-        def never(*args):
-            raise AssertionError("solver started")
-
-        monkeypatch.setattr(cli, "_midpoint_run", never)
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert "grid steps" in err
+        assert (f"argument --dx: xmax/dx must not exceed {MAX_STEPS} "
+                "grid steps") in err
         assert "Traceback" not in err
         assert not (tmp_path / "unused.csv").exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["compare", "--n", "nan", "--m", "400", "--dx", "0.1"], "--n"),
+        (["compare", "--n", "3", "--m", "400", "--dx", "inf"], "--dx"),
+    ])
+    def test_inputs_checked_before_any_work(
+        self, argv, option, capsys, tmp_path, no_work
+    ):
+        # an order-400 table takes seconds to build
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert f"argument {option}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         # the order-10 seed's coefficients are past the float range
@@ -712,7 +755,7 @@ class TestExitCodes:
             parser.parse_args(argv + [str(MAX_ORDER + 1)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert f"argument {argv[-1]}: must be <= {MAX_ORDER}" in err
+        assert f"argument {argv[-1]}: must be between 0 and {MAX_ORDER}" in err
         assert "Traceback" not in err
         # a[k] has degree k/2 - 1: every table a command prints parses back
         assert MAX_ORDER // 2 - 1 <= MAX_DEGREE
@@ -731,11 +774,27 @@ class TestExitCodes:
         assert f"argument --reps: must be between 1 and {cli.MAX_REPS}" in err
         assert "Traceback" not in err
 
-    def test_nonpositive_dx_rejected(self):
+    @pytest.mark.parametrize("argv, option, kind", [
+        (["integrate", "--dx", "0.1", "--n"], "--n", "float"),
+        (["compare", "--n", "3", "--m", "4", "--dx"], "--dx", "float"),
+        (["integrate", "--n", "3", "--dx", "0.1", "--xmax"], "--xmax",
+         "float"),
+        (["coeffs", "--m"], "--m", "int"),
+        (["bench", "--mmax"], "--mmax", "int"),
+        (["bench", "--mmax", "10", "--step"], "--step", "int"),
+        (["bench", "--mmax", "10", "--reps"], "--reps", "int"),
+    ])
+    def test_non_number_rejected(self, argv, option, kind, capsys, tmp_path):
+        out = tmp_path / "unused.csv"
         with pytest.raises(SystemExit) as exc:
-            cli.main(["integrate", "--n", "1", "--dx", "0",
-                      "--out", "unused.csv"])
+            cli.main(argv + ["abc", "--out", str(out)])
         assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        # the error names the value's type, not a function of the parser
+        assert f"argument {option}: invalid {kind} value: 'abc'" in err
+        assert "invalid _" not in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -28,11 +28,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("dx", [0.0, -1e-3])
     def test_step_must_be_positive(self, dx):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dx: must be finite and > 0$"):
             IntegratorConfig(dx=dx)
 
     def test_xmax_must_exceed_seed_region(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^xmax: must exceed the seeded"):
             IntegratorConfig(dx=1.0, xmax=2.0)
 
     @pytest.mark.parametrize("dx, xmax", [
