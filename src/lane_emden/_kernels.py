@@ -167,9 +167,6 @@ def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs,
     two-stage scheme.  For non-integer ``n`` a nonpositive ``F_half`` would
     make the power undefined, so the loop terminates just before that.
     """
-    n = float(n)
-    dx = float(dx)
-    xmax = float(xmax)
     # 0.5 * dx * H is (0.5 * dx) * H: hoisting h changes no bit
     h = 0.5 * dx
     integer_n = n == int(n)

@@ -12,10 +12,11 @@ Exit codes: 0 on success, 2 for usage errors, 1 for I/O errors.  All CSV
 output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
 and floats at 17 significant digits (round-trip precision).  The rows of
 the float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a
-time from the stepped grid: forked workers on the CPUs the process may use
-format them while the next chunk is stepped.  With one CPU, a single
-chunk, no ``fork`` or another thread running, each chunk is formatted in
-the process itself, to the same bytes.
+time from the stepped grid, through :func:`_write_floats`, the one place
+that decides whether to fork and runs the workers: forked workers on the
+CPUs the process may use format the chunks while the next one is stepped.
+With one CPU, a single chunk, no ``fork`` or another thread running, each
+chunk is formatted in the process itself, to the same bytes.
 """
 
 from __future__ import annotations
@@ -169,14 +170,77 @@ def _write_floats(
     holds the text :func:`_fmt` gives for each of its fields.  ``tail`` is
     read once ``chunks`` is exhausted.  The first two chunks are taken
     before ``out_path`` is opened: a run raises the errors of its start,
-    the seed's among them, on the first, and a second chunk decides
-    whether :class:`_Workers` forks.
+    the seed's among them, on the first.
+
+    Given a second chunk, ``k >= 2`` usable CPUs, the ``fork`` start
+    method and no other thread running, a worker is forked for each of
+    the first ``k`` chunks.  Chunk ``i`` then goes to worker ``i % k`` once
+    that worker's text of chunk ``i - k`` has been received and written:
+    the texts come back in order, at most ``k`` chunks are out, and the
+    next chunk is stepped while the workers format.  Otherwise each chunk
+    is formatted in this process.  A worker is sent the float64 bytes of a
+    chunk, one message a column; every text is received into one buffer
+    and written from it.  The workers are stopped and joined, and every
+    connection closed, however the writing ends.
     """
     chunks = iter(chunks)
     ahead = list(itertools.islice(chunks, 2))
-    with open(out_path, "wb") as fh, _Workers(fh) as workers:
+    k = _usable_cpus() if len(ahead) == 2 else 1
+    if k >= 2:
+        import multiprocessing
+        import threading
+
+        # fork copies only the calling thread, and a lock another thread
+        # holds stays locked in the child, so only a single thread forks
+        if (threading.active_count() > 1
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            k = 1
+    chunks = itertools.chain(ahead, chunks)
+    procs, conns = [], []
+    with open(out_path, "wb") as fh:
         fh.write(f"{head}\n".encode("ascii"))
-        workers.write(itertools.chain(ahead, chunks), fork=len(ahead) == 2)
+        try:
+            if k < 2:
+                for chunk in chunks:
+                    fh.write(_chunk_text(chunk))
+            else:
+                # No pool: it would receive the texts on a thread of its
+                # own, and that thread's heap kept several MB resident
+                # after each run.
+                context = multiprocessing.get_context("fork")
+                width = len(ahead[0])
+                # every text is received into this buffer, large enough
+                # for any: a .17g field takes at most 24 characters and a
+                # comma or newline
+                buf = bytearray(CHUNK_ROWS * width * 25)
+                busy = []  # the connections of the chunks out, oldest first
+                for chunk in chunks:
+                    if len(conns) < k:
+                        conn, child_conn = context.Pipe()
+                        conns.append(conn)
+                        proc = context.Process(target=_format_chunks,
+                                               args=(width, child_conn))
+                        proc.start()
+                        procs.append(proc)
+                        # the worker holds the only other end now, so
+                        # should it die, the parent's recv raises EOFError
+                        # instead of waiting
+                        child_conn.close()
+                    else:
+                        conn = busy.pop(0)
+                        _receive(conn, buf, fh)
+                    for column in chunk:
+                        conn.send_bytes(column)
+                    busy.append(conn)
+                for conn in busy:
+                    _receive(conn, buf, fh)
+        finally:
+            for proc in procs:
+                proc.terminate()
+            for proc in procs:
+                proc.join()
+            for conn in conns:
+                conn.close()
         fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
 
 
@@ -195,98 +259,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fork_is_safe() -> bool:
-    """Whether formatting workers may be forked from this process."""
-    import multiprocessing
-    import threading
-
-    # fork copies only the calling thread, and a lock another thread
-    # holds stays locked in the child, so only a single thread forks
-    return (threading.active_count() == 1
-            and "fork" in multiprocessing.get_all_start_methods())
-
-
-class _Workers:
-    """Writes the text of chunks of float rows to ``out``, in order.
-
-    Given two chunks or more (``fork``), ``k >= 2`` usable CPUs, the
-    ``fork`` start method and no other thread running, :meth:`write` forks
-    a worker for each of the first ``k`` chunks.  Chunk ``i`` then goes to
-    worker ``i % k`` once that worker's text of chunk ``i - k`` has been
-    received and written: the texts come back in order, at most ``k``
-    chunks are out, and the next chunk is stepped while the workers
-    format.  Otherwise each chunk is formatted in this process.
-
-    A worker is sent the float64 bytes of a chunk, one message a column.
-    Every text is received into one buffer and written from it.  The
-    workers are stopped and joined when the ``with`` block exits, however
-    it exits.
-    """
-
-    def __init__(self, out):
-        self.out = out
-        self.procs, self.conns = [], []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        for proc in self.procs:
-            proc.terminate()
-        for proc in self.procs:
-            proc.join()
-        for conn in self.conns:
-            conn.close()
-
-    def write(self, chunks: Iterable[Sequence[Sequence[float]]],
-              fork: bool) -> None:
-        """Write the text of every chunk; ``fork`` if there are two or more."""
-        cpus = _usable_cpus()
-        if not (fork and cpus >= 2 and _fork_is_safe()):
-            for chunk in chunks:
-                self.out.write(_chunk_text(chunk))
-            return
-        busy = []  # the connections of the chunks out, oldest first
-        for chunk in chunks:
-            if len(self.conns) < cpus:
-                conn = self._fork(len(chunk))
-            else:
-                conn = busy.pop(0)
-                self._receive(conn)
-            for column in chunk:
-                conn.send_bytes(column)
-            busy.append(conn)
-        for conn in busy:
-            self._receive(conn)
-
-    def _fork(self, width: int):
-        """Start a worker for chunks of ``width`` columns; return its end."""
-        # No pool: it would receive the texts on a thread of its own, and
-        # that thread's heap kept several MB resident after each run.
-        import multiprocessing
-
-        if not self.conns:
-            # every text is received into this buffer, large enough for
-            # any: a .17g field takes at most 24 characters and a comma or
-            # newline
-            self.buf = bytearray(CHUNK_ROWS * width * 25)
-        context = multiprocessing.get_context("fork")
-        conn, child_conn = context.Pipe()
-        self.conns.append(conn)
-        proc = context.Process(target=_format_chunks, args=(width, child_conn))
-        proc.start()
-        self.procs.append(proc)
-        # the worker holds the only other end now, so should it die, the
-        # parent's recv raises EOFError instead of waiting
-        child_conn.close()
-        return conn
-
-    def _receive(self, conn) -> None:
-        """Write the text that ``conn``'s worker sends back for its chunk."""
-        size = conn.recv_bytes_into(self.buf)
-        if not size:  # the worker failed, and sends its error
-            raise conn.recv()
-        self.out.write(memoryview(self.buf)[:size])
+def _receive(conn, buf: bytearray, out) -> None:
+    """Write to ``out`` the text ``conn``'s worker sends back, via ``buf``."""
+    size = conn.recv_bytes_into(buf)
+    if not size:  # the worker failed, and sends its error
+        raise conn.recv()
+    out.write(memoryview(buf)[:size])
 
 
 def _format_chunks(width: int, conn) -> None:
@@ -382,12 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=_bounded_int(1, MAX_REPS), default=3,
                    help="repetitions per size, minimum is kept (default 3)")
     p.add_argument("--out", required=True, help="output CSV path")
+    # main reports its own checks through the subcommand's parser, as
+    # argparse reports the subcommand's options
+    for p in sub.choices.values():
+        p.set_defaults(error=p.error)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "coeffs":
             cmd_coeffs(args.m, args.out, args.format)
@@ -397,8 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             except ValueError:
                 # str() refused an a[k] past the interpreter's digit limit,
                 # which bounds the work; raised before --out is opened
-                parser.error("argument --n: an a[k] has more digits "
-                             "than can be printed")
+                args.error("argument --n: an a[k] has more digits "
+                           "than can be printed")
             sys.stdout.write(text)
         elif args.command in ("integrate", "compare"):
             try:
@@ -406,7 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 cfg = IntegratorConfig(dx=args.dx, xmax=args.xmax)
             except ValueError as exc:
                 # the library's checks, before any work: "<param>: <reason>"
-                parser.error(f"argument --{exc}")
+                args.error(f"argument --{exc}")
             try:
                 if args.command == "integrate":
                     cmd_integrate(args.n, cfg, args.out)
@@ -414,13 +395,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     cmd_compare(args.n, args.m, cfg, args.out)
             except OverflowError:
                 # a_k(n) outgrows a float; raised before --out is opened
-                parser.error("argument --n: a_k(n) overflows a float")
+                args.error("argument --n: a_k(n) overflows a float")
             except SeedDivergenceError as exc:
                 # raised before --out is opened, too
-                parser.error(f"argument --dx: {exc}")
+                args.error(f"argument --dx: {exc}")
         elif args.command == "bench":
             if args.step > args.mmax:
-                parser.error("argument --step: must not exceed --mmax")
+                args.error("argument --step: must not exceed --mmax")
             cmd_bench(args.mmax, args.step, args.reps, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,18 +30,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal, Optional
+from typing import Optional
 
 from . import _kernels
 from .series import compute_coefficients
-
-Termination = Literal["crossed_zero", "reached_xmax"]
-
-CROSSED_ZERO: Termination = "crossed_zero"
-REACHED_XMAX: Termination = "reached_xmax"
 
 # Most grid points one run may cover, ``xmax / dx``.  At 24 bytes a stored
 # sample this bounds the buffers of a :func:`solve_midpoint` result to about
@@ -96,14 +91,15 @@ class IntegrationResult:
     """Sampled solution on the uniform grid plus termination info.
 
     ``xs``, ``Fs`` and ``Hs`` are the ``array("d")`` buffers the run
-    filled, one element per stored grid point.
+    filled, one element per stored grid point.  ``termination`` is
+    ``"crossed_zero"`` or ``"reached_xmax"``.
     """
 
     xs: array
     Fs: array
     Hs: array
-    termination: Termination
-    first_zero: Optional[float] = field(default=None)
+    termination: str
+    first_zero: Optional[float] = None
 
 
 @lru_cache(maxsize=None)
@@ -219,5 +215,5 @@ def _midpoint_run(n: float, cfg: IntegratorConfig, chunk: int):
 
     crossed, x_reject, f_reject = stop
     if not crossed:
-        return REACHED_XMAX, None
-    return CROSSED_ZERO, interpolate_zero(*last[:2], x_reject, f_reject)
+        return "reached_xmax", None
+    return "crossed_zero", interpolate_zero(*last[:2], x_reject, f_reject)

@@ -1,7 +1,6 @@
 """Command line interface: formats, determinism, exit codes."""
 
 import hashlib
-import io
 import json
 import math
 import multiprocessing
@@ -228,24 +227,33 @@ class TestOutputBytes:
 
 
 class TestChunkText:
-    def test_every_chunk_matches_the_eager_lines(self, monkeypatch):
+    def test_every_chunk_matches_the_eager_lines(self, tmp_path, monkeypatch):
         columns = (array("d", [0.0, 0.1, 1e300, -0.0, 5e-324]),
                    np.array([1.0, 2.0 / 3.0, math.inf, 1e-7, -2.5]))
         eager = [",".join(cli._fmt(v) for v in row) + "\n"
                  for row in zip(*columns)]
         # formatted in process: two whole chunks of two rows, then the
-        # short last one, each written before the next is made
+        # short last one; the first two are taken before any is formatted,
+        # and each later one is made only after those before it
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
-        out = io.BytesIO()
+        texts, chunk_text = [], cli._chunk_text
+
+        def counted(fields):
+            texts.append(chunk_text(fields))
+            return texts[-1]
+
+        monkeypatch.setattr(cli, "_chunk_text", counted)
 
         def chunks():
-            for lo in range(0, 5, 2):
-                assert out.getvalue() == "".join(eager[:lo]).encode()
+            for i, lo in enumerate(range(0, 5, 2)):
+                assert len(texts) == (i if i >= 2 else 0)
                 yield tuple(column[lo:lo + 2] for column in columns)
 
-        with cli._Workers(out) as workers:
-            workers.write(chunks(), fork=True)
-        assert out.getvalue() == "".join(eager).encode()
+        out = tmp_path / "out.csv"
+        cli._write_floats(str(out), "x,y", chunks())
+        assert texts == ["".join(eager[lo:lo + 2]).encode()
+                         for lo in range(0, 5, 2)]
+        assert read_bytes(out) == ("x,y\n" + "".join(eager)).encode()
 
 
 class TestFormattingWorkers:
@@ -296,9 +304,10 @@ class TestFormattingWorkers:
         cpus(count)
         # the column messages sent, and the chunks whose texts were written
         alive, forked, sent, written = [], [], [0], [0]
-        steps, leave = _kernels.midpoint_steps, cli._Workers.__exit__
-        send, receive = Connection.send_bytes, cli._Workers._receive
-        parent = os.getpid()
+        steps = _kernels.midpoint_steps
+        context = multiprocessing.get_context("fork")
+        send, receive = Connection.send_bytes, Connection.recv_bytes_into
+        process, parent = context.Process, os.getpid()
 
         def counted_steps(*args):
             alive.append(len(multiprocessing.active_children()))
@@ -311,23 +320,24 @@ class TestFormattingWorkers:
                 assert -(-sent[0] // 3) - written[0] <= count
             return send(conn, *args)
 
-        def counted_receive(workers, conn):
+        def counted_receive(conn, *args):
             written[0] += 1
-            return receive(workers, conn)
+            return receive(conn, *args)
 
-        def counted_exit(workers, *exc_info):
-            forked.append(len(workers.procs))
-            return leave(workers, *exc_info)
+        def counted_process(*args, **kwargs):
+            forked.append(1)
+            return process(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "midpoint_steps", counted_steps)
         monkeypatch.setattr(Connection, "send_bytes", counted_send)
-        monkeypatch.setattr(cli._Workers, "_receive", counted_receive)
-        monkeypatch.setattr(cli._Workers, "__exit__", counted_exit)
+        monkeypatch.setattr(Connection, "recv_bytes_into", counted_receive)
+        monkeypatch.setattr(type(context), "Process",
+                            staticmethod(counted_process))
         argv, digest = self.CASES[0]
         assert self.run(tmp_path, argv) == digest
         # every worker formats while the grid is still being stepped
         assert max(alive) == count
-        assert forked == [count]
+        assert len(forked) == count
         assert sent[0] == 3 * written[0] == 3 * 173  # 6,897 rows, 40 a chunk
 
     @pytest.mark.parametrize("argv, digest", CASES)
@@ -387,17 +397,21 @@ class TestFormattingWorkers:
     ):
         # a leaked Connection raises no ResourceWarning, so the CLI tests in
         # development mode cannot catch a dropped close
-        conns, leave = [], cli._Workers.__exit__
+        # the ends of each pipe _write_floats makes through the context
+        conns, context = [], multiprocessing.get_context("fork")
+        pipe = context.Pipe
 
-        def recorded_exit(workers, *exc_info):
-            conns.extend(workers.conns)
-            return leave(workers, *exc_info)
+        def recorded_pipe(*args, **kwargs):
+            ends = pipe(*args, **kwargs)
+            conns.extend(ends)
+            return ends
 
         def fail(fields):
             raise LookupError("chunk failed")
 
         cpus(2)
-        monkeypatch.setattr(cli._Workers, "__exit__", recorded_exit)
+        monkeypatch.setattr(type(context), "Pipe",
+                            staticmethod(recorded_pipe))
         argv, digest = self.CASES[0]
         if fails:
             monkeypatch.setattr(cli, "_chunk_text", fail)
@@ -560,7 +574,7 @@ class TestBench:
                           "--out", str(out)])
             assert exc.value.code == cli.USAGE_ERROR
             err = capsys.readouterr().err
-            assert message in err
+            assert f"lane-emden bench: error: {message}" in err
             assert "Traceback" not in err
             assert not out.exists()
 
@@ -601,7 +615,8 @@ class TestExitCodes:
             cli.main(argv + ["--out", str(out)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert "argument --n: must be finite and nonnegative" in err
+        assert (f"lane-emden {argv[0]}: error: argument --n: must be finite "
+                "and nonnegative") in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -633,7 +648,7 @@ class TestExitCodes:
             cli.main(argv + ["--out", str(out)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert f"error: argument {option}: must " in err
+        assert f"lane-emden {argv[0]}: error: argument {option}: must " in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -660,8 +675,8 @@ class TestExitCodes:
             cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert (f"argument --dx: xmax/dx must not exceed {MAX_STEPS} "
-                "grid steps") in err
+        assert (f"lane-emden {argv[0]}: error: argument --dx: xmax/dx must "
+                f"not exceed {MAX_STEPS} grid steps") in err
         assert "Traceback" not in err
         assert not (tmp_path / "unused.csv").exists()
 
@@ -677,7 +692,7 @@ class TestExitCodes:
             cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert f"argument {option}" in err
+        assert f"lane-emden compare: error: argument {option}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
@@ -693,7 +708,7 @@ class TestExitCodes:
             cli.main(argv + ["--out", str(tmp_path / "unused.csv")])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert "argument --n" in err
+        assert f"lane-emden {argv[0]}: error: argument --n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "unused.csv").exists()
 
@@ -709,7 +724,7 @@ class TestExitCodes:
                       "--out", str(out)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert "argument --dx" in err
+        assert "lane-emden integrate: error: argument --dx" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -728,7 +743,7 @@ class TestExitCodes:
             cli.main(["eval", "--n", n_value, "--m", m, "--out", str(out)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert "argument --n" in err
+        assert "lane-emden eval: error: argument --n" in err
         assert "Traceback" not in err
         assert not out.exists()
 
