@@ -309,6 +309,26 @@ def _bounded_int(low: int, high: int):
     return parse
 
 
+# Options whose value may start with "-".  argparse takes a value such as
+# "-1e-3", "-inf" or "-3/2" after an option for another option, unless it
+# looks like "-1" or "-.5", so _attach_values writes "--dx -1e-3" as
+# "--dx=-1e-3", the form argparse reads as a value.
+_SIGNED_OPTIONS = ("--n", "--dx", "--xmax")
+
+
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with a value that starts with a single ``-`` attached by
+    ``=`` to the signed option before it."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _SIGNED_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lane-emden",
@@ -368,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser().parse_args(_attach_values(argv))
     try:
         if args.command == "coeffs":
             cmd_coeffs(args.m, args.out, args.format)

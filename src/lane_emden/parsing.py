@@ -5,18 +5,28 @@ any expression over integers and the symbol ``n`` built from ``+ - * / **``
 and parentheses, e.g. ``-n*(8*n - 5)/15120``.  Division is only defined by
 a nonzero constant and exponents must be nonnegative integer constants, so
 every valid expression denotes a polynomial in ``n`` with exact rational
-coefficients.  Each sum is added up once, with one reduction, so a
-canonical string costs work near linear in its length.  An expression
-whose degree, powered coefficients, integer literals or nesting exceed the
-bounds below raises :class:`ExpressionError` before the work is done.
+coefficients.
+
+The tokens come from one regex pass.  Every intermediate value is a sparse
+pair ``(terms, den)``: ``terms`` maps each power of ``n`` to its nonzero
+integer numerator, over one positive denominator ``den`` that is not
+reduced along the way, so a term ``c*n**e`` costs a few dict entries and
+no gcd.  Each sum is added up once, over the lcm of its denominators.  Only
+a base about to be raised to a power is reduced first, and the result is
+reduced once, at the end, by :meth:`IndexPolynomial.from_integers`.  So a
+canonical string costs work near linear in its length.  Token positions
+are worked out only to report an error.  An expression whose degree,
+powered coefficients, integer literals or nesting exceed the bounds below
+raises :class:`ExpressionError` before the work is done.
 """
 
 from __future__ import annotations
 
 import re
-from math import gcd
+from itertools import islice
+from math import gcd, lcm
 
-from .exact import IndexPolynomial, N, _signed_sum
+from .exact import IndexPolynomial, _int_power
 
 
 class ExpressionError(ValueError):
@@ -26,9 +36,10 @@ class ExpressionError(ValueError):
 
 # Bounds on the work one expression can ask for.  No product or power may
 # exceed MAX_DEGREE, and no power may raise coefficients of b bits to an
-# exponent e with b*e above MAX_BITS.  Every other operation only adds to
-# the coefficient sizes, so the work stays bounded by the length of the
-# text.  ``a[k]`` has
+# exponent e with b*e above MAX_BITS, where b counts the numerator and
+# denominator bits of a coefficient in lowest terms.  Every other operation
+# only adds to the coefficient sizes, so the work stays bounded by the
+# length of the text.  ``a[k]`` has
 # degree k/2 - 1, so a table would need k > 2000 to print a degree above
 # MAX_DEGREE, and its coefficients stay far below MAX_BITS.
 # MAX_LITERAL_DIGITS is CPython's default limit for converting a decimal
@@ -42,137 +53,176 @@ MAX_LITERAL_DIGITS = 4300
 MAX_DEPTH = 100
 
 
-# A token, or any other character that is not whitespace.  Literals are
-# ASCII digits only: ``\d`` would also match other scripts' digits.
-_TOKEN = re.compile(r"([0-9]+|\*\*|[n()+\-*/])|(\S)")
-
-
-def _tokenize(text: str):
-    """The tokens of ``text`` as ``(token, position)`` pairs."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        token, other = match.groups()
-        if other is not None:
-            raise ExpressionError(
-                f"unexpected character {other!r} at position {match.start()}"
-            )
-        tokens.append((token, match.start()))
-    return tokens
+# A token, or an empty match before any other character that is not
+# whitespace, so that findall gives "" for each such character.  Literals
+# are ASCII digits only: ``\d`` would also match other scripts' digits.
+_TOKEN = re.compile(r"[0-9]+|\*\*|[n()+\-*/]|(?=\S)")
 
 
 class _Parser:
+    """Recursive descent over the token list; each method returns a sparse
+    ``(terms, den)`` value and leaves ``self.i`` at the next token."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        # What peek() reads: the tokens, then None at the end.
-        self.kinds = [token for token, _ in self.tokens] + [None]
-        self.index = 0
+        self.text = text
+        # findall's tokens, then None at the end.
+        self.tokens = _TOKEN.findall(text) + [None]
+        self.i = 0
         self.depth = 0
 
-    def peek(self):
-        return self.kinds[self.index]
+    def position(self, index: int) -> int:
+        """Offset in the text of the token at ``index``."""
+        return next(islice(_TOKEN.finditer(self.text), index, None)).start()
 
-    def take(self):
-        token, pos = self.tokens[self.index]
-        self.index += 1
-        return token, pos
-
-    def error(self, message: str, pos=None):
-        where = "end of input" if pos is None else f"position {pos}"
+    def error(self, message: str, index: int):
+        if self.tokens[index] is None:
+            where = "end of input"
+        else:
+            where = f"position {self.position(index)}"
         raise ExpressionError(f"{message} at {where}")
 
-    def bound_degree(self, degree, pos):
-        if degree > MAX_DEGREE:
-            self.error(f"degree above {MAX_DEGREE}", pos)
-
     # expr := term (('+' | '-') term)*
-    def expr(self) -> IndexPolynomial:
-        terms = [(1, self.term())]
-        while self.peek() in ("+", "-"):
-            op, _ = self.take()
-            terms.append((1 if op == "+" else -1, self.term()))
-        return _signed_sum(terms) if len(terms) > 1 else terms[0][1]
+    def expr(self):
+        parts = [(1, self.term())]
+        tokens = self.tokens
+        while (op := tokens[self.i]) in ("+", "-"):
+            self.i += 1
+            parts.append((1 if op == "+" else -1, self.term()))
+        return _sum(parts) if len(parts) > 1 else parts[0][1]
 
-    # term := unary (('*' | '/') unary)*
-    def term(self) -> IndexPolynomial:
-        result = self.unary()
-        while self.peek() in ("*", "/"):
-            op, pos = self.take()
-            rhs = self.unary()
+    # term := factor (('*' | '/') factor)*
+    def term(self):
+        terms, den = self.factor()
+        tokens = self.tokens
+        while (op := tokens[self.i]) in ("*", "/"):
+            at = self.i
+            self.i += 1
+            rhs, rden = self.factor()
             if op == "*":
-                self.bound_degree(result.degree + rhs.degree, pos)
-                result = result * rhs
-            else:
-                if rhs.degree >= 1:
-                    self.error("division by a polynomial is not allowed", pos)
-                if not rhs:
-                    self.error("division by zero", pos)
-                result = result / rhs.coefficient(0)
-        return result
+                # a zero factor cannot take the sum over the bound
+                if terms and rhs and max(terms) + max(rhs) > MAX_DEGREE:
+                    self.error(f"degree above {MAX_DEGREE}", at)
+                terms, den = _product(terms, rhs), den * rden
+                continue
+            if not rhs:
+                self.error("division by zero", at)
+            if max(rhs) >= 1:
+                self.error("division by a polynomial is not allowed", at)
+            # terms/den divided by c/rden is terms*rden/(den*c), c != 0
+            c = rhs[0]
+            if c < 0:
+                c, rden = -c, -rden
+            if rden != 1:
+                terms = {j: v * rden for j, v in terms.items()}
+            den *= c
+        return terms, den
 
-    # unary := ('+' | '-') unary | power
-    # Parentheses, signs and exponents all nest through here.
-    def unary(self) -> IndexPolynomial:
+    # factor := ('+' | '-') factor | atom ('**' factor)?
+    # atom := INT | 'n' | '(' expr ')'
+    # Parentheses, signs and exponents all nest through here.  The
+    # exponent must be a constant integer >= 0.
+    def factor(self):
+        at = self.i
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            pos = None
-            if self.peek() is not None:
-                pos = self.tokens[self.index][1]
-            self.error(f"nesting deeper than {MAX_DEPTH}", pos)
-        if self.peek() in ("+", "-"):
-            op, _ = self.take()
-            value = self.unary()
-            value = value if op == "+" else -value
-        else:
-            value = self.power()
-        self.depth -= 1
-        return value
-
-    # power := atom ('**' unary)?   -- exponent must be a constant integer >= 0
-    def power(self) -> IndexPolynomial:
-        base = self.atom()
-        if self.peek() == "**":
-            _, pos = self.take()
-            exponent = self.unary()
-            if exponent.degree >= 1:
-                self.error("exponent must be an integer constant", pos)
-            value = exponent.nums[0] if exponent.nums else 0
-            if exponent.den != 1 or value < 0:
-                self.error("exponent must be a nonnegative integer", pos)
-            self.bound_degree(base.degree * value, pos)
-            if _bits(base) * value > MAX_BITS:
-                self.error(f"coefficients above {MAX_BITS} bits", pos)
-            return base**value
-        return base
-
-    # atom := INT | 'n' | '(' expr ')'
-    def atom(self) -> IndexPolynomial:
-        token = self.peek()
-        if token is None:
-            self.error("unexpected end of expression")
-        token, pos = self.take()
-        if token.isdigit():
+            self.error(f"nesting deeper than {MAX_DEPTH}", at)
+        tokens = self.tokens
+        token = tokens[at]
+        self.i = at + 1
+        if token == "n":
+            terms, den = {1: 1}, 1
+        elif token == "(":
+            terms, den = self.expr()
+            if tokens[self.i] != ")":
+                self.error("missing closing parenthesis", at)
+            self.i += 1
+        elif token == "-" or token == "+":
+            terms, den = self.factor()
+            if token == "-":
+                terms = {j: -v for j, v in terms.items()}
+            self.depth -= 1
+            return terms, den
+        elif token is None:
+            self.error("unexpected end of expression", at)
+        elif token.isdigit():
             if len(token) > MAX_LITERAL_DIGITS:
                 self.error(
                     f"integer literal longer than {MAX_LITERAL_DIGITS} digits",
-                    pos,
+                    at,
                 )
-            return IndexPolynomial.from_integers((int(token),))
-        if token == "n":
-            return N
-        if token == "(":
-            inner = self.expr()
-            if self.peek() != ")":
-                self.error("missing closing parenthesis", pos)
-            self.take()
-            return inner
-        self.error(f"unexpected token {token!r}", pos)
+            value = int(token)
+            terms, den = ({0: value} if value else {}), 1
+        else:
+            self.error(f"unexpected token {token!r}", at)
+        if tokens[self.i] == "**":
+            at = self.i
+            self.i += 1
+            exponent, eden = self.factor()
+            if exponent and max(exponent) >= 1:
+                self.error("exponent must be an integer constant", at)
+            e, rest = divmod(exponent.get(0, 0), eden)
+            if rest or e < 0:
+                self.error("exponent must be a nonnegative integer", at)
+            if terms and max(terms) * e > MAX_DEGREE:
+                self.error(f"degree above {MAX_DEGREE}", at)
+            if _bits(terms, den) * e > MAX_BITS:
+                self.error(f"coefficients above {MAX_BITS} bits", at)
+            terms, den = _power(terms, den, e)
+        self.depth -= 1
+        return terms, den
 
 
-def _bits(p: IndexPolynomial) -> int:
+def _sum(parts):
+    """``sum sign * value`` over ``(sign, value)`` pairs with signs +-1,
+    over the lcm of the denominators."""
+    den = lcm(*[d for _, (_, d) in parts])
+    out = {}
+    get = out.get
+    for sign, (terms, d) in parts:
+        scale = sign * (den // d)
+        for j, v in terms.items():
+            out[j] = get(j, 0) + v * scale
+    return {j: v for j, v in out.items() if v}, den
+
+
+def _product(a, b):
+    """Product of two sparse numerators."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial times anything: no sum, so no zero
+        ((i, x),) = a.items()
+        return {i + j: x * y for j, y in b.items()}
+    out = {}
+    get = out.get
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = get(i + j, 0) + x * y
+    return {j: v for j, v in out.items() if v}
+
+
+def _power(terms, den, e: int):
+    """``(terms/den)**e``: zero at once, else the base is reduced first."""
+    if not terms:
+        return ({} if e else {0: 1}), 1
+    g = gcd(den, *terms.values())
+    if g > 1:
+        terms = {j: v // g for j, v in terms.items()}
+        den //= g
+    if len(terms) == 1:
+        ((j, v),) = terms.items()
+        return {j * e: v**e}, den**e
+    degree = max(terms)
+    dense = [terms.get(j, 0) for j in range(degree + 1)]
+    power = _int_power(dense, e, degree * e)
+    return {j: v for j, v in enumerate(power) if v}, den**e
+
+
+def _bits(terms, den) -> int:
     """Largest numerator plus denominator bit length of a coefficient in
     lowest terms."""
-    den, most = p.den, 0
-    for v in p.nums:
+    most = 0
+    for v in terms.values():
         g = gcd(v, den)
         most = max(most, (v // g).bit_length() + (den // g).bit_length())
     return most
@@ -181,10 +231,18 @@ def _bits(p: IndexPolynomial) -> int:
 def parse_expression(text: str) -> IndexPolynomial:
     """Parse an expression in ``n`` into an :class:`IndexPolynomial`."""
     parser = _Parser(text)
-    if not parser.tokens:
+    tokens = parser.tokens
+    if "" in tokens:
+        pos = parser.position(tokens.index(""))
+        raise ExpressionError(
+            f"unexpected character {text[pos]!r} at position {pos}"
+        )
+    if tokens[0] is None:
         raise ExpressionError("empty expression")
-    result = parser.expr()
-    if parser.peek() is not None:
-        token, pos = parser.tokens[parser.index]
-        raise ExpressionError(f"unexpected token {token!r} at position {pos}")
-    return result
+    terms, den = parser.expr()
+    if tokens[parser.i] is not None:
+        parser.error(f"unexpected token {tokens[parser.i]!r}", parser.i)
+    nums = [0] * (max(terms, default=-1) + 1)
+    for j, v in terms.items():
+        nums[j] = v
+    return IndexPolynomial.from_integers(nums, den)

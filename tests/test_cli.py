@@ -579,6 +579,18 @@ class TestBench:
             assert not out.exists()
 
 
+def _equals_form(argv):
+    """``argv`` with every option's value attached by ``=``."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 class TestExitCodes:
     def test_success_returns_zero(self, tmp_path):
         out = tmp_path / "c.txt"
@@ -651,6 +663,56 @@ class TestExitCodes:
         assert f"lane-emden {argv[0]}: error: argument {option}: must " in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["integrate", "--n", "-inf", "--dx", "0.1"],
+         "argument --n: must be finite and nonnegative"),
+        (["compare", "--n", "-1e-3", "--m", "4", "--dx", "0.1"],
+         "argument --n: must be finite and nonnegative"),
+        (["integrate", "--n", "3", "--dx", "-1e-3"],
+         "argument --dx: must be finite and > 0"),
+        (["compare", "--n", "3", "--m", "4", "--dx", "-inf"],
+         "argument --dx: must be finite and > 0"),
+        (["integrate", "--n", "3", "--dx", "0.1", "--xmax", "-1e3"],
+         "argument --xmax: must be finite and > 0"),
+        (["integrate", "--n", "3", "--xmax", "-inf", "--dx", "0.1"],
+         "argument --xmax: must be finite and > 0"),
+        (["integrate", "--n", "-x", "--dx", "0.1"],
+         "argument --n: invalid float value: '-x'"),
+    ])
+    def test_negative_value_after_option(self, argv, message, capsys,
+                                         tmp_path):
+        # "--dx -1e-3" reaches the check as "--dx=-1e-3" does
+        out = tmp_path / "unused.csv"
+        errors = []
+        for args in (argv, _equals_form(argv)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(args + ["--out", str(out)])
+            assert exc.value.code == cli.USAGE_ERROR
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"lane-emden {argv[0]}: error: {message}\n" in errors[0]
+        assert "Traceback" not in errors[0]
+        assert not out.exists()
+
+    def test_negative_rational_after_option(self, capsys):
+        argv = ["eval", "--n", "-3/2", "--m", "4"]
+        assert cli.main(argv) == 0
+        assert cli.main(_equals_form(argv)) == 0
+        text = capsys.readouterr().out
+        assert text == 2 * "a[0] = 1\na[2] = -1/6\na[4] = -1/80\n"
+
+    @pytest.mark.parametrize("argv, option", [
+        (["integrate", "--n", "--dx", "0.1"], "--n"),
+        (["integrate", "--n", "3", "--dx", "--xmax", "2"], "--dx"),
+    ])
+    def test_option_after_option_is_not_a_value(self, argv, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", "unused.csv"])
+        assert exc.value.code == cli.USAGE_ERROR
+        assert f"argument {option}: expected one argument" in (
+            capsys.readouterr().err
+        )
 
     @pytest.fixture
     def no_work(self, monkeypatch):

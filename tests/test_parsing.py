@@ -1,5 +1,6 @@
 """Expression parser for canonical coefficient strings."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -104,28 +105,79 @@ class TestErrors:
             parse_expression(text)
 
     def test_division_by_zero_constant(self):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("n/0")
+        assert str(exc.value) == "division by zero at position 1"
 
     def test_division_by_expression_that_vanishes(self):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("1/(n - n)")
+        assert str(exc.value) == "division by zero at position 1"
 
     def test_division_by_polynomial(self):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("n/(n + 1)")
+        assert str(exc.value) == (
+            "division by a polynomial is not allowed at position 1"
+        )
 
     def test_fractional_exponent(self):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("2**(1/2)")
+        assert str(exc.value) == (
+            "exponent must be a nonnegative integer at position 1"
+        )
 
     def test_negative_exponent(self):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("n**-1")
+        assert str(exc.value) == (
+            "exponent must be a nonnegative integer at position 1"
+        )
 
     def test_polynomial_exponent(self):
-        with pytest.raises(ExpressionError):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("2**n")
+        assert str(exc.value) == (
+            "exponent must be an integer constant at position 1"
+        )
+
+    @pytest.mark.parametrize("text, message", [
+        ("n*(n + 1", "missing closing parenthesis at position 2"),
+        ("(n", "missing closing parenthesis at position 0"),
+        ("((n)", "missing closing parenthesis at position 0"),
+        ("(n + (1)", "missing closing parenthesis at position 0"),
+        ("n**2/(n**2 - n*n + n)",
+         "division by a polynomial is not allowed at position 4"),
+        ("n + 1/(2*n - 2*n)", "division by zero at position 5"),
+        ("n*(2*n)**(n - n + n)",
+         "exponent must be an integer constant at position 7"),
+        ("n + n**(3/2)", "exponent must be a nonnegative integer at position 5"),
+        ("n + n**(2 - 3)",
+         "exponent must be a nonnegative integer at position 5"),
+        ("n + n**(4/2)**(1 - 2)",
+         "exponent must be a nonnegative integer at position 12"),
+        ("n)", "unexpected token ')' at position 1"),
+        ("(n + 1))", "unexpected token ')' at position 7"),
+        ("* n", "unexpected token '*' at position 0"),
+        ("()", "unexpected token ')' at position 1"),
+        ("n n", "unexpected token 'n' at position 2"),
+        ("1 + 2 3", "unexpected token '3' at position 6"),
+        ("n*/2", "unexpected token '/' at position 2"),
+        ("n**)", "unexpected token ')' at position 3"),
+        ("n +", "unexpected end of expression at end of input"),
+        ("(", "unexpected end of expression at end of input"),
+        ("n**", "unexpected end of expression at end of input"),
+        ("-", "unexpected end of expression at end of input"),
+        ("n*(n - ", "unexpected end of expression at end of input"),
+        ("", "empty expression"),
+        ("   ", "empty expression"),
+        ("\t\n\u3000", "empty expression"),
+    ])
+    def test_message_in_full(self, text, message):
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(text)
+        assert str(exc.value) == message
 
     def test_error_reports_position(self):
         with pytest.raises(ExpressionError) as exc:
@@ -175,25 +227,43 @@ class TestErrors:
 class TestBounds:
     def test_power_degree(self):
         assert parse_expression(f"n**{MAX_DEGREE}").degree == MAX_DEGREE
-        with pytest.raises(ExpressionError, match="degree") as exc:
+        with pytest.raises(ExpressionError) as exc:
             parse_expression(f"n**{MAX_DEGREE + 1}")
-        assert "position 1" in str(exc.value)
-        with pytest.raises(ExpressionError, match="degree"):
+        assert str(exc.value) == f"degree above {MAX_DEGREE} at position 1"
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("(n + 1)**100000")
+        assert str(exc.value) == f"degree above {MAX_DEGREE} at position 7"
 
     def test_product_degree(self):
         half = MAX_DEGREE // 2
         assert parse_expression(f"n**{half}*n**{half}").degree == 2 * half
-        with pytest.raises(ExpressionError, match="degree"):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression(f"n**{half}*n**{half + 1}")
+        assert str(exc.value) == f"degree above {MAX_DEGREE} at position 6"
 
     def test_power_coefficient_bits(self):
         # 2 has a 2-bit numerator and a 1-bit denominator.
         parse_expression(f"2**{MAX_BITS // 3}")
-        with pytest.raises(ExpressionError, match="bits"):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression(f"2**{MAX_BITS // 3 + 1}")
-        with pytest.raises(ExpressionError, match="bits"):
+        assert str(exc.value) == (
+            f"coefficients above {MAX_BITS} bits at position 1"
+        )
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("((2**1000)**1000)**1000")
+        assert str(exc.value) == (
+            f"coefficients above {MAX_BITS} bits at position 17"
+        )
+
+    def test_power_bits_count_reduced_coefficients(self):
+        # 6/4 is 3/2: 2 + 2 bits, not 3 + 3.
+        e = MAX_BITS // 4
+        assert parse_expression(f"(6/4)**{e}") == Fraction(3, 2) ** e
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(f"(6/4)**{e + 1}")
+        assert str(exc.value) == (
+            f"coefficients above {MAX_BITS} bits at position 5"
+        )
 
     @pytest.mark.parametrize("text, pos", [
         ("(" * 200 + "n" + ")" * 200, MAX_DEPTH),
@@ -216,8 +286,40 @@ class TestBounds:
     def test_literal_digits(self):
         longest = "9" * MAX_LITERAL_DIGITS
         assert parse_expression(longest) == int(longest)
-        with pytest.raises(ExpressionError, match="position 4"):
+        with pytest.raises(ExpressionError) as exc:
             parse_expression("n + 1" + longest)
+        assert str(exc.value) == (
+            f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
+            " at position 4"
+        )
+
+
+class TestBoundedWork:
+    @pytest.mark.parametrize("text", ["0**(10**4000)", "(n - n)**(10**4000)"])
+    def test_zero_to_a_huge_power(self, text):
+        # A zero base passes both power bounds whatever the exponent, so
+        # its power must be taken without work in the exponent's size.
+        start = time.perf_counter()
+        assert parse_expression(text) == 0
+        assert time.perf_counter() - start < 1.0
+
+    def test_base_reduced_before_the_power(self):
+        # Each coefficient is 1 in lowest terms, so the bits bound passes;
+        # unreduced, the power would carry 10**80000 through every step.
+        text = "((10**400*n + 10**400)/10**400)**200"
+        start = time.perf_counter()
+        assert parse_expression(text) == parse_expression("(n + 1)**200")
+        assert time.perf_counter() - start < 1.0
+
+    @given(st.text(st.sampled_from(list("0123456789n()+-*/ \t\n\xa0.x@^\u0663")),
+                   max_size=40))
+    def test_any_text_parses_or_raises_expression_error(self, text):
+        # No IndexError, KeyError, ZeroDivisionError, RecursionError, ...
+        try:
+            result = parse_expression(text)
+        except ExpressionError:
+            return
+        assert isinstance(result, IndexPolynomial)
 
 
 class TestRoundTrip:
