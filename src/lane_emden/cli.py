@@ -373,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series truncation order")
 
     p = sub.add_parser("bench", help="time the coefficient engine")
-    p.add_argument("--mmax", type=order, required=True,
-                   help="largest table size to time")
+    p.add_argument("--mmax", type=_bounded_int(2, MAX_ORDER), required=True,
+                   help="largest table size to time, at least 2")
     p.add_argument("--step", type=_bounded_int(2, MAX_ORDER), default=10,
                    help="table size increment, at most --mmax (default 10)")
     p.add_argument("--reps", type=_bounded_int(1, MAX_REPS), default=3,

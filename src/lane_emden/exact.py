@@ -4,15 +4,20 @@ All coefficient algebra in this package is exact.  Rational values are
 plain :class:`fractions.Fraction` instances.
 :class:`IndexPolynomial` is a dense polynomial in the polytropic index
 ``n`` stored in the series kernel's reduced form: integer numerators over
-one positive denominator coprime to their content.  Ring arithmetic,
-integer powers and Horner evaluation run on those integers, and the
-canonical factored string form
+one positive denominator coprime to their content.  Horner evaluation
+runs on those integers, and the canonical factored string form
 
     -n*(8*n - 5)/15120
 
 is read straight off them: the highest power of ``n`` dividing the
 polynomial is pulled out, and the remaining integer polynomial is
 primitive (content 1) with a positive leading coefficient.
+
+The package's one polynomial arithmetic runs on sparse pairs
+``(terms, den)``: each power of ``n`` maps to its nonzero integer
+numerator, over one positive denominator that is not reduced on the way.
+:func:`_sum`, :func:`_product` and :func:`_power` serve the ring operators
+and the expression parser alike; :func:`_polynomial` reduces a pair once.
 """
 
 from __future__ import annotations
@@ -87,10 +92,10 @@ class IndexPolynomial:
     # -- ring arithmetic ---------------------------------------------------
 
     def __add__(self, other) -> "IndexPolynomial":
-        other = _coerce(other)
+        other = _terms(other)
         if other is NotImplemented:
             return NotImplemented
-        return _signed_sum(((1, self), (1, other)))
+        return _polynomial(*_sum(((1, _terms(self)), (1, other))))
 
     __radd__ = __add__
 
@@ -98,24 +103,23 @@ class IndexPolynomial:
         return self.from_integers([-v for v in self.nums], self.den)
 
     def __sub__(self, other) -> "IndexPolynomial":
-        other = _coerce(other)
+        other = _terms(other)
         if other is NotImplemented:
             return NotImplemented
-        return _signed_sum(((1, self), (-1, other)))
+        return _polynomial(*_sum(((1, _terms(self)), (-1, other))))
 
     def __rsub__(self, other) -> "IndexPolynomial":
-        other = _coerce(other)
+        other = _terms(other)
         if other is NotImplemented:
             return NotImplemented
-        return _signed_sum(((1, other), (-1, self)))
+        return _polynomial(*_sum(((1, other), (-1, _terms(self)))))
 
     def __mul__(self, other) -> "IndexPolynomial":
-        other = _coerce(other)
+        other = _terms(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.nums, other.nums
-        out = _int_mul(a, b, len(a) + len(b) - 2)
-        return self.from_integers(out, self.den * other.den)
+        (a, den), (b, oden) = _terms(self), other
+        return _polynomial(_product(a, b), den * oden)
 
     __rmul__ = __mul__
 
@@ -125,13 +129,7 @@ class IndexPolynomial:
             return NotImplemented
         if e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        a, den, degree = self.nums, self.den**e, self.degree * e
-        if any(a[:-1]):
-            return self.from_integers(_int_power(a, e, degree), den)
-        # Zero, a constant or a monomial c*n**d: raise c and scale d.
-        if not a:
-            return IndexPolynomial((0**e,))
-        return self.from_integers([0] * degree + [a[-1] ** e], den)
+        return _polynomial(*_power(*_terms(self), e))
 
     def __truediv__(self, scalar) -> "IndexPolynomial":
         if isinstance(scalar, (int, Fraction)):
@@ -139,10 +137,10 @@ class IndexPolynomial:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
+        other = _terms(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+        return _terms(self) == other
 
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
@@ -199,58 +197,88 @@ class IndexPolynomial:
         return f"IndexPolynomial({[str(c) for c in self.coefficients]})"
 
 
-def _coerce(value) -> "IndexPolynomial":
-    if isinstance(value, IndexPolynomial):
-        return value
+def _terms(value):
+    """An :class:`IndexPolynomial`, int or Fraction as a sparse ``(terms,
+    den)`` pair in lowest terms; NotImplemented for any other type."""
     if isinstance(value, (int, Fraction)):
-        return IndexPolynomial((value,))
-    return NotImplemented
+        value = IndexPolynomial((value,))
+    elif not isinstance(value, IndexPolynomial):
+        return NotImplemented
+    return {j: v for j, v in enumerate(value.nums) if v}, value.den
 
 
-def _signed_sum(
-    terms: Sequence[tuple[int, IndexPolynomial]],
-) -> IndexPolynomial:
-    """``sum sign * p`` over ``(sign, p)`` pairs with signs +-1: one lcm of
-    the denominators, one pass of scaled numerators and one reduction."""
-    den = lcm(*[p.den for _, p in terms])
-    out = [0] * max(len(p.nums) for _, p in terms)
-    for sign, p in terms:
-        scale = sign * (den // p.den)
-        for j, v in enumerate(p.nums):
-            if v:
-                out[j] += v * scale
-    return IndexPolynomial.from_integers(out, den)
+def _polynomial(terms, den) -> IndexPolynomial:
+    """The sparse ``(terms, den)`` reduced into an :class:`IndexPolynomial`."""
+    nums = [terms.get(j, 0) for j in range(max(terms, default=-1) + 1)]
+    return IndexPolynomial.from_integers(nums, den)
 
 
-def _int_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
-    """Integer coefficients of ``a(x) * b(x)`` through ``x**m``."""
-    out = [0] * (m + 1)
-    for i, ai in enumerate(a[: m + 1]):
-        if ai:
-            for j, bj in enumerate(b[: m + 1 - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _sum(parts):
+    """``sum sign * value`` over ``(sign, value)`` pairs with signs +-1,
+    over the lcm of the denominators."""
+    den = lcm(*[d for _, (_, d) in parts])
+    out = {}
+    get = out.get
+    for sign, (terms, d) in parts:
+        scale = sign * (den // d)
+        for j, v in terms.items():
+            out[j] = get(j, 0) + v * scale
+    return {j: v for j, v in out.items() if v}, den
 
 
-def _int_power(nums: Sequence[int], q: int, m: int) -> list[int]:
-    """Integer coefficients of ``(sum nums[l] x^l) ** q`` through ``x**m``."""
-    power = [1] + [0] * m
-    for _ in range(q):
-        power = _int_mul(power, nums, m)
-    return power
+def _product(a, b):
+    """Product of two sparse numerators."""
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial times anything: no sum, so no zero
+        ((i, x),) = a.items()
+        return {i + j: x * y for j, y in b.items()}
+    out = {}
+    get = out.get
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = get(i + j, 0) + x * y
+    return {j: v for j, v in out.items() if v}
+
+
+def _power(terms, den, e: int):
+    """``(terms/den)**e``: zero at once, else the base is reduced first."""
+    if not terms:
+        return ({} if e else {0: 1}), 1
+    g = gcd(den, *terms.values())
+    if g > 1:
+        terms = {j: v // g for j, v in terms.items()}
+        den //= g
+    if len(terms) == 1:
+        ((j, v),) = terms.items()
+        return {j * e: v**e}, den**e
+    power = {0: 1}
+    for _ in range(e):
+        power = _product(power, terms)
+    return power, den**e
 
 
 def _power_truncated(b: Sequence[CoeffLike], q: int, m: int) -> list[Fraction]:
     """Coefficients of ``(sum b_l x^l) ** q`` through ``x**m``, exactly.
 
-    The ``b`` are cleared to integers over one denominator ``D``, as an
-    :class:`IndexPolynomial` stores them, the power runs on ints, and each
-    coefficient is divided by ``D**q`` once at the end.
+    The ``b`` are cleared to integers over one denominator ``D``, the base
+    is multiplied in ``q`` times on dense int lists truncated at ``x**m``,
+    and each coefficient is divided by ``D**q`` once at the end.
     """
     base = IndexPolynomial(b[: m + 1])
+    nums = base.nums
+    power = [1] + [0] * m
+    for _ in range(q):
+        out = [0] * (m + 1)
+        for i, pi in enumerate(power):
+            if pi:
+                for j, bj in enumerate(nums[: m + 1 - i]):
+                    if bj:
+                        out[i + j] += pi * bj
+        power = out
     scale = base.den**q
-    return [Fraction(p, scale) for p in _int_power(base.nums, q, m)]
+    return [Fraction(p, scale) for p in power]
 
 
 def _factored_parts(nums):

@@ -8,25 +8,24 @@ every valid expression denotes a polynomial in ``n`` with exact rational
 coefficients.
 
 The tokens come from one regex pass.  Every intermediate value is a sparse
-pair ``(terms, den)``: ``terms`` maps each power of ``n`` to its nonzero
-integer numerator, over one positive denominator ``den`` that is not
-reduced along the way, so a term ``c*n**e`` costs a few dict entries and
-no gcd.  Each sum is added up once, over the lcm of its denominators.  Only
-a base about to be raised to a power is reduced first, and the result is
-reduced once, at the end, by :meth:`IndexPolynomial.from_integers`.  So a
-canonical string costs work near linear in its length.  Token positions
-are worked out only to report an error.  An expression whose degree,
-powered coefficients, integer literals or nesting exceed the bounds below
-raises :class:`ExpressionError` before the work is done.
+``(terms, den)`` pair of :mod:`lane_emden.exact`, whose ``_sum``,
+``_product`` and ``_power`` do the arithmetic without reducing, so a term
+``c*n**e`` costs a few dict entries and no gcd.  Only a base about to be
+raised to a power is reduced first, and the result is reduced once, at
+the end, so a canonical string costs work near linear in its length.
+Token positions are worked out only to report an error.  An expression
+whose degree, powers, powered coefficients, integer literals or nesting
+exceed the bounds below raises :class:`ExpressionError` before the work is
+done.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 
-from .exact import IndexPolynomial, _int_power
+from .exact import IndexPolynomial, _polynomial, _power, _product, _sum
 
 
 class ExpressionError(ValueError):
@@ -37,15 +36,17 @@ class ExpressionError(ValueError):
 # Bounds on the work one expression can ask for.  No product or power may
 # exceed MAX_DEGREE, and no power may raise coefficients of b bits to an
 # exponent e with b*e above MAX_BITS, where b counts the numerator and
-# denominator bits of a coefficient in lowest terms.  Every other operation
-# only adds to the coefficient sizes, so the work stays bounded by the
-# length of the text.  ``a[k]`` has
-# degree k/2 - 1, so a table would need k > 2000 to print a degree above
-# MAX_DEGREE, and its coefficients stay far below MAX_BITS.
-# MAX_LITERAL_DIGITS is CPython's default limit for converting a decimal
-# string to an int.  MAX_DEPTH bounds the nesting of parentheses, signs
-# and exponents, which the parser follows by recursion, well inside
-# Python's recursion limit; canonical strings nest 3 deep
+# denominator bits of a coefficient in lowest terms.  A power of a base
+# with two or more terms multiplies the base in e times, so the degrees d*e
+# that such powers raise add up to at most MAX_DEGREE per expression;
+# monomial powers (``n**38``) do not count.  Every other operation only
+# adds to the coefficient sizes, so the work stays bounded by the length
+# of the text.  ``a[k]`` has degree k/2 - 1, so a table would need k > 2000
+# to print a degree above MAX_DEGREE, and its coefficients stay far below
+# MAX_BITS.  MAX_LITERAL_DIGITS is CPython's default limit for converting
+# a decimal string to an int.  MAX_DEPTH bounds the nesting of
+# parentheses, signs and exponents, which the parser follows by recursion,
+# well inside Python's recursion limit; canonical strings nest 3 deep
 # (``n*(n**2 + 1)``).
 MAX_DEGREE = 1000
 MAX_BITS = 1 << 20
@@ -69,6 +70,8 @@ class _Parser:
         self.tokens = _TOKEN.findall(text) + [None]
         self.i = 0
         self.depth = 0
+        # the degrees d*e raised so far by powers of sums
+        self.powered = 0
 
     def position(self, index: int) -> int:
         """Offset in the text of the token at ``index``."""
@@ -110,11 +113,8 @@ class _Parser:
                 self.error("division by a polynomial is not allowed", at)
             # terms/den divided by c/rden is terms*rden/(den*c), c != 0
             c = rhs[0]
-            if c < 0:
-                c, rden = -c, -rden
-            if rden != 1:
-                terms = {j: v * rden for j, v in terms.items()}
-            den *= c
+            terms = _product(terms, {0: rden if c > 0 else -rden})
+            den *= abs(c)
         return terms, den
 
     # factor := ('+' | '-') factor | atom ('**' factor)?
@@ -167,55 +167,13 @@ class _Parser:
                 self.error(f"degree above {MAX_DEGREE}", at)
             if _bits(terms, den) * e > MAX_BITS:
                 self.error(f"coefficients above {MAX_BITS} bits", at)
+            if len(terms) > 1:
+                self.powered += max(terms) * e
+            if self.powered > MAX_DEGREE:
+                self.error(f"powered sums above total degree {MAX_DEGREE}", at)
             terms, den = _power(terms, den, e)
         self.depth -= 1
         return terms, den
-
-
-def _sum(parts):
-    """``sum sign * value`` over ``(sign, value)`` pairs with signs +-1,
-    over the lcm of the denominators."""
-    den = lcm(*[d for _, (_, d) in parts])
-    out = {}
-    get = out.get
-    for sign, (terms, d) in parts:
-        scale = sign * (den // d)
-        for j, v in terms.items():
-            out[j] = get(j, 0) + v * scale
-    return {j: v for j, v in out.items() if v}, den
-
-
-def _product(a, b):
-    """Product of two sparse numerators."""
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        # a monomial times anything: no sum, so no zero
-        ((i, x),) = a.items()
-        return {i + j: x * y for j, y in b.items()}
-    out = {}
-    get = out.get
-    for i, x in a.items():
-        for j, y in b.items():
-            out[i + j] = get(i + j, 0) + x * y
-    return {j: v for j, v in out.items() if v}
-
-
-def _power(terms, den, e: int):
-    """``(terms/den)**e``: zero at once, else the base is reduced first."""
-    if not terms:
-        return ({} if e else {0: 1}), 1
-    g = gcd(den, *terms.values())
-    if g > 1:
-        terms = {j: v // g for j, v in terms.items()}
-        den //= g
-    if len(terms) == 1:
-        ((j, v),) = terms.items()
-        return {j * e: v**e}, den**e
-    degree = max(terms)
-    dense = [terms.get(j, 0) for j in range(degree + 1)]
-    power = _int_power(dense, e, degree * e)
-    return {j: v for j, v in enumerate(power) if v}, den**e
 
 
 def _bits(terms, den) -> int:
@@ -242,7 +200,4 @@ def parse_expression(text: str) -> IndexPolynomial:
     terms, den = parser.expr()
     if tokens[parser.i] is not None:
         parser.error(f"unexpected token {tokens[parser.i]!r}", parser.i)
-    nums = [0] * (max(terms, default=-1) + 1)
-    for j, v in terms.items():
-        nums[j] = v
-    return IndexPolynomial.from_integers(nums, den)
+    return _polynomial(terms, den)

@@ -22,8 +22,10 @@ def child_env():
 
     The child sees only ``PATH``, a ``PYTHONPATH`` holding the directory
     of the ``lane_emden`` package this process imported (``src/`` or an
-    installed copy), and the extra variables passed in. Nothing else
-    leaks in from the caller's environment.
+    installed copy), ``PYTHONDONTWRITEBYTECODE`` when this process has it,
+    so a suite run without bytecode leaves none in ``src/`` either, and
+    the extra variables passed in. Nothing else leaks in from the caller's
+    environment.
     """
     import lane_emden
 
@@ -34,6 +36,9 @@ def child_env():
             "PATH": os.environ.get("PATH", os.defpath),
             "PYTHONPATH": package_parent,
         }
+        no_bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE")
+        if no_bytecode is not None:
+            env["PYTHONDONTWRITEBYTECODE"] = no_bytecode
         env.update(extra)
         return env
 

@@ -1,8 +1,8 @@
 """Plain ``Fraction`` series routines that the tests use as references.
 
 Neither is used by the package: :func:`mul_truncated` is the schoolbook
-truncated product that the integer power loop, the polynomial product
-and the parser's powers are checked against, and :func:`miller_power` is
+truncated product that the brute-force power, the polynomial product and
+the polynomial powers are checked against, and :func:`miller_power` is
 the J.C.P. Miller power recurrence for an arbitrary numeric base series,
 which builds the coefficients one order at a time without the symbolic
 kernel.

@@ -578,6 +578,21 @@ class TestBench:
             assert "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("mmax", ["0", "1"])
+    def test_mmax_below_two_names_mmax(self, mmax, capsys, tmp_path):
+        # no table of fewer than two entries can be timed, even with
+        # --step left at its default
+        out = tmp_path / "unused.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--mmax", mmax, "--out", str(out)])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert (f"lane-emden bench: error: argument --mmax: must be between"
+                f" 2 and {MAX_ORDER}") in err
+        assert "argument --step" not in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def _equals_form(argv):
     """``argv`` with every option's value attached by ``=``."""
@@ -832,7 +847,9 @@ class TestExitCodes:
             parser.parse_args(argv + [str(MAX_ORDER + 1)])
         assert exc.value.code == cli.USAGE_ERROR
         err = capsys.readouterr().err
-        assert f"argument {argv[-1]}: must be between 0 and {MAX_ORDER}" in err
+        low = 2 if argv[0] == "bench" else 0
+        assert f"argument {argv[-1]}: must be between {low} and {MAX_ORDER}" \
+            in err
         assert "Traceback" not in err
         # a[k] has degree k/2 - 1: every table a command prints parses back
         assert MAX_ORDER // 2 - 1 <= MAX_DEGREE
@@ -904,6 +921,26 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "coeffs" in proc.stdout
+
+    @pytest.mark.parametrize("setting, written", [("1", "True"),
+                                                  (None, "False")])
+    def test_child_writes_bytecode_as_the_parent(
+        self, child_env, monkeypatch, setting, written
+    ):
+        import subprocess
+        import sys
+
+        if setting is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", setting)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; print(sys.dont_write_bytecode)"],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == written
 
 
 class TestColdStart:

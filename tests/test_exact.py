@@ -151,6 +151,20 @@ class TestArithmetic:
         one = IndexPolynomial((1,))
         assert p * one == p
 
+    @given(polynomials, polynomials)
+    def test_add_and_sub_match_coefficient_sums(self, p, q):
+        # compared coefficient by coefficient, so no polynomial arithmetic
+        # and no == of IndexPolynomial is involved
+        size = max(p.degree, q.degree) + 1
+        a = [p.coefficient(j) for j in range(size)]
+        b = [q.coefficient(j) for j in range(size)]
+        total, difference = p + q, p - q
+        assert [total.coefficient(j) for j in range(size)] == [
+            x + y for x, y in zip(a, b)]
+        assert [difference.coefficient(j) for j in range(size)] == [
+            x - y for x, y in zip(a, b)]
+        assert max(total.degree, difference.degree) < size
+
     @given(factors, factors)
     def test_mul_matches_full_product(self, p, q):
         degree = p.degree + q.degree

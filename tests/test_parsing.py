@@ -14,6 +14,7 @@ from lane_emden import (
     compute_coefficients,
     parse_expression,
 )
+from lane_emden import parsing
 from lane_emden.parsing import (
     MAX_BITS,
     MAX_DEGREE,
@@ -241,6 +242,36 @@ class TestBounds:
             parse_expression(f"n**{half}*n**{half + 1}")
         assert str(exc.value) == f"degree above {MAX_DEGREE} at position 6"
 
+    def test_powers_of_sums_share_one_degree_budget(self, monkeypatch):
+        # each power alone is within MAX_DEGREE; together they are not
+        assert parse_expression("(n + 1)**999").degree == 999
+        computed, original = [], parsing._power
+
+        def power(terms, den, e):
+            computed.append(e)
+            return original(terms, den, e)
+
+        monkeypatch.setattr(parsing, "_power", power)
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("+".join(["(n+1)**999"] * 10))
+        assert str(exc.value) == (
+            f"powered sums above total degree {MAX_DEGREE} at position 16"
+        )
+        # raised at the second power, before it is computed
+        assert computed == [999]
+        half = MAX_DEGREE // 2
+        text = f"(n + 1)**{half} + (2 - n)**{half}"
+        assert parse_expression(text).degree == half
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression(f"(n + 1)**{half} - (2 - n)**{half + 1}")
+        assert str(exc.value) == (
+            f"powered sums above total degree {MAX_DEGREE} at position 22"
+        )
+
+    def test_monomial_powers_are_not_counted(self):
+        text = " + ".join([f"n**{MAX_DEGREE}"] * 10 + ["2**5*(n + 1)**999"])
+        assert parse_expression(text).coefficient(MAX_DEGREE) == 10
+
     def test_power_coefficient_bits(self):
         # 2 has a 2-bit numerator and a 1-bit denominator.
         parse_expression(f"2**{MAX_BITS // 3}")
@@ -360,6 +391,7 @@ class TestPower:
     def test_matches_repeated_multiplication(self, q, e):
         want = _power_by_multiplication(q, e)
         assert parse_expression(f"({q})**{e}") == want
+        assert q**e == want
 
     @pytest.mark.parametrize("text, want", [
         ("0**0", 1),
