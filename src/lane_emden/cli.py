@@ -48,7 +48,8 @@ MAX_REPS = 100
 
 
 def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+    """``value`` at 17 significant digits, as :func:`_chunk_text` writes it."""
+    return "%.17g" % value
 
 
 def cmd_coeffs(m: int, out_path: str, fmt: str = "paper") -> None:
@@ -246,9 +247,11 @@ def _write_floats(
 
 def _chunk_text(fields: Sequence[Sequence[float]]) -> bytes:
     """The ASCII CSV rows, each ending in ``\\n``, of the float64 ``fields``."""
-    row = ",".join(["{:.17g}"] * len(fields)) + "\n"
-    columns = [field.tolist() for field in fields]
-    return "".join(map(row.format, *columns)).encode("ascii")
+    width, rows = len(fields), len(fields[0])
+    flat = [0.0] * (rows * width)  # row-major, for one bytes ``%``
+    for i, field in enumerate(fields):
+        flat[i::width] = field.tolist()
+    return (b",".join([b"%.17g"] * width) + b"\n") * rows % tuple(flat)
 
 
 def _usable_cpus() -> int:

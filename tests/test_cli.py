@@ -15,6 +15,8 @@ from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lane_emden import (
     IntegratorConfig,
@@ -195,9 +197,11 @@ class TestOutputBytes:
     ``eval`` wrote with its own ``open()``, before it used the shared
     writer.  A CSV coefficient file and an ``eval`` at a rational index
     with a denominator were pinned from the output of the
-    ``Fraction``-backed ``IndexPolynomial``.  The last case, 17 chunks of
-    ``CHUNK_ROWS`` rows written while the grid is stepped, was pinned from
-    the writer that formatted the rows only after the run.
+    ``Fraction``-backed ``IndexPolynomial``.  The ``integrate`` case at
+    ``1e-4``, 17 chunks of ``CHUNK_ROWS`` rows written while the grid is
+    stepped, was pinned from the writer that formatted the rows only after
+    the run.  The last case is the benchmark's ``compare`` workload: four
+    columns over the same 17 chunks, with its pinned digest.
     """
 
     @pytest.mark.parametrize("argv, digest", [
@@ -219,6 +223,8 @@ class TestOutputBytes:
          "c30f767f7bf290decdcc50c17dbc28c28cccefa493269c1638216645a57647cf"),
         (["integrate", "--n", "3", "--dx", "1e-4"],
          "f04ed54999523fdbf37f61006bfdcae7e19c76e8d5844702f8674c0894d3354c"),
+        (["compare", "--n", "3", "--m", "28", "--dx", "1e-4"],
+         "051e94386991a6cc60533c58bfa58c2abdbb1a41f5ab234e25ed2f93ba2a62dc"),
     ])
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
@@ -226,7 +232,53 @@ class TestOutputBytes:
         assert hashlib.sha256(read_bytes(out)).hexdigest() == digest
 
 
+def reference_text(columns):
+    """The CSV rows of ``columns``, by ``format`` alone, field by field."""
+    return "".join(",".join(format(v, ".17g") for v in row) + "\n"
+                   for row in zip(*columns)).encode("ascii")
+
+
+# The float64 edge values: signed zeros, nans with either sign bit,
+# infinities, the least and greatest magnitudes, and the values on each
+# side of where ``g`` switches between fixed and exponent notation.
+EDGE_VALUES = [
+    0.0, -0.0, math.nan, math.copysign(math.nan, -1.0), math.inf, -math.inf,
+    5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e16, 1e17, -1e16, -1e17, 9999999999999998.0, 1e-4, 1e-5, -1e-4, -1e-5,
+    0.1, -2.0 / 3.0, 1.0, -1.0,
+]
+
+# How a chunk's columns reach ``_chunk_text``: ``integrate``'s arrays,
+# ``compare``'s ndarrays, and the float64 views a worker makes of the
+# bytes it receives.
+COLUMN_KINDS = {
+    "array": lambda vals: array("d", vals),
+    "ndarray": np.array,
+    "memoryview": lambda vals: memoryview(bytes(array("d", vals))).cast("d"),
+}
+
+
 class TestChunkText:
+    @pytest.mark.parametrize("kind", sorted(COLUMN_KINDS))
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_edge_values_match_the_reference(self, width, kind):
+        # column i is the edge values turned i places, so that every value
+        # meets every column position
+        values = [EDGE_VALUES[i:] + EDGE_VALUES[:i] for i in range(width)]
+        assert math.copysign(1.0, values[0][3]) == -1.0
+        fields = [COLUMN_KINDS[kind](vals) for vals in values]
+        assert cli._chunk_text(fields) == reference_text(values)
+
+    @given(st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(st.floats(), min_size=width, max_size=width),
+        min_size=1, max_size=50)))
+    def test_any_doubles_match_the_reference(self, rows):
+        columns = [list(column) for column in zip(*rows)]
+        for kind in COLUMN_KINDS.values():
+            fields = [kind(column) for column in columns]
+            assert cli._chunk_text(fields) == reference_text(columns)
+
     def test_every_chunk_matches_the_eager_lines(self, tmp_path, monkeypatch):
         columns = (array("d", [0.0, 0.1, 1e300, -0.0, 5e-324]),
                    np.array([1.0, 2.0 / 3.0, math.inf, 1e-7, -2.5]))
@@ -481,6 +533,29 @@ class TestChunkBoundaries:
         cli._write_floats(str(out), "x,y", chunks, ["# end"])
         assert read_bytes(out) == f"x,y\n{eager}# end\n".encode()
         assert bool(forks) == (cpus > 1 and rows > 40)
+        assert multiprocessing.active_children() == []
+
+    def test_widest_chunks_fit_the_receive_buffer(self, tmp_path, monkeypatch):
+        # a .17g field is at most 24 characters, as this one is, and the
+        # parent receives each text into CHUNK_ROWS * width * 25 bytes,
+        # which a full chunk of four such columns fills exactly
+        widest = -2.2250738585072014e-308
+        assert len(format(widest, ".17g")) == 24
+        chunk = (array("d", [widest]) * cli.CHUNK_ROWS,) * 4
+        text = cli._chunk_text(chunk)
+        assert len(text) == cli.CHUNK_ROWS * 4 * 25
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        forks, get_context = [], multiprocessing.get_context
+
+        def counted(method):
+            forks.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        out = tmp_path / "out.csv"
+        cli._write_floats(str(out), "a,b,c,d", [chunk] * 2)
+        assert forks == ["fork"]
+        assert read_bytes(out) == b"a,b,c,d\n" + text * 2
         assert multiprocessing.active_children() == []
 
     # 80 samples, 2 chunks: the step after the second chunk passes xmax
