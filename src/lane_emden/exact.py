@@ -17,7 +17,8 @@ The package's one polynomial arithmetic runs on sparse pairs
 ``(terms, den)``: each power of ``n`` maps to its nonzero integer
 numerator, over one positive denominator that is not reduced on the way.
 :func:`_sum`, :func:`_product` and :func:`_power` serve the ring operators
-and the expression parser alike; :func:`_polynomial` reduces a pair once.
+and the expression parser alike; :func:`_polynomial` reduces a pair once,
+and :func:`_power` alone checks the power bounds below, for both.
 """
 
 from __future__ import annotations
@@ -27,6 +28,14 @@ from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 CoeffLike = Union[int, Fraction]
+
+# Bounds on the work of one power: its degree is at most MAX_DEGREE, and
+# coefficients of b bits (numerator plus denominator, in lowest terms) may
+# be raised to e only with b*e <= MAX_BITS.  ``a[k]`` has degree k/2 - 1,
+# so a table would need k > 2000 to print a degree above MAX_DEGREE, and
+# its coefficients stay far below MAX_BITS.
+MAX_DEGREE = 1000
+MAX_BITS = 1 << 20
 
 
 def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -127,8 +136,6 @@ class IndexPolynomial:
         """``self`` raised to a nonnegative integer power ``e``."""
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
         return _polynomial(*_power(*_terms(self), e))
 
     def __truediv__(self, scalar) -> "IndexPolynomial":
@@ -243,9 +250,16 @@ def _product(a, b):
 
 
 def _power(terms, den, e: int):
-    """``(terms/den)**e``: zero at once, else the base is reduced first."""
+    """``(terms/den)**e``: zero at once, else the base is reduced first.
+    ``e < 0`` or a power over the bounds above raises ValueError at once."""
+    if e < 0:
+        raise ValueError("exponent must be a nonnegative integer")
     if not terms:
         return ({} if e else {0: 1}), 1
+    if max(terms) * e > MAX_DEGREE:
+        raise ValueError(f"degree above {MAX_DEGREE}")
+    if _bits(terms, den) * e > MAX_BITS:
+        raise ValueError(f"coefficients above {MAX_BITS} bits")
     g = gcd(den, *terms.values())
     if g > 1:
         terms = {j: v // g for j, v in terms.items()}
@@ -257,6 +271,16 @@ def _power(terms, den, e: int):
     for _ in range(e):
         power = _product(power, terms)
     return power, den**e
+
+
+def _bits(terms, den) -> int:
+    """Largest numerator plus denominator bit length of a coefficient in
+    lowest terms."""
+    most = 0
+    for v in terms.values():
+        g = gcd(v, den)
+        most = max(most, (v // g).bit_length() + (den // g).bit_length())
+    return most
 
 
 def _power_truncated(b: Sequence[CoeffLike], q: int, m: int) -> list[Fraction]:

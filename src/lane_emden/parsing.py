@@ -14,18 +14,17 @@ The tokens come from one regex pass.  Every intermediate value is a sparse
 raised to a power is reduced first, and the result is reduced once, at
 the end, so a canonical string costs work near linear in its length.
 Token positions are worked out only to report an error.  An expression
-whose degree, powers, powered coefficients, integer literals or nesting
-exceed the bounds below raises :class:`ExpressionError` before the work is
-done.
+over the bounds below, or a power over those of :mod:`lane_emden.exact`,
+raises :class:`ExpressionError` with its position before the work is done.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import islice
-from math import gcd
 
-from .exact import IndexPolynomial, _polynomial, _power, _product, _sum
+from .exact import MAX_DEGREE, IndexPolynomial, _polynomial
+from .exact import _power, _product, _sum
 
 
 class ExpressionError(ValueError):
@@ -33,23 +32,17 @@ class ExpressionError(ValueError):
     the bounds below."""
 
 
-# Bounds on the work one expression can ask for.  No product or power may
-# exceed MAX_DEGREE, and no power may raise coefficients of b bits to an
-# exponent e with b*e above MAX_BITS, where b counts the numerator and
-# denominator bits of a coefficient in lowest terms.  A power of a base
-# with two or more terms multiplies the base in e times, so the degrees d*e
-# that such powers raise add up to at most MAX_DEGREE per expression;
-# monomial powers (``n**38``) do not count.  Every other operation only
-# adds to the coefficient sizes, so the work stays bounded by the length
-# of the text.  ``a[k]`` has degree k/2 - 1, so a table would need k > 2000
-# to print a degree above MAX_DEGREE, and its coefficients stay far below
-# MAX_BITS.  MAX_LITERAL_DIGITS is CPython's default limit for converting
-# a decimal string to an int.  MAX_DEPTH bounds the nesting of
-# parentheses, signs and exponents, which the parser follows by recursion,
-# well inside Python's recursion limit; canonical strings nest 3 deep
-# (``n*(n**2 + 1)``).
-MAX_DEGREE = 1000
-MAX_BITS = 1 << 20
+# Bounds on the work one expression can ask for, beyond the bounds that
+# ``exact._power`` puts on each power.  No product may exceed MAX_DEGREE.
+# A power of a base with two or more terms multiplies the base in e times,
+# so the degrees d*e that such powers raise add up to at most MAX_DEGREE
+# per expression; monomial powers (``n**38``) do not count.  Every other
+# operation only adds to the coefficient sizes, so the work stays bounded
+# by the length of the text.  MAX_LITERAL_DIGITS is CPython's default
+# limit for converting a decimal string to an int.  MAX_DEPTH bounds the
+# nesting of parentheses, signs and exponents, which the parser follows by
+# recursion, well inside Python's recursion limit; canonical strings nest
+# 3 deep (``n*(n**2 + 1)``).
 MAX_LITERAL_DIGITS = 4300
 MAX_DEPTH = 100
 
@@ -161,29 +154,19 @@ class _Parser:
             if exponent and max(exponent) >= 1:
                 self.error("exponent must be an integer constant", at)
             e, rest = divmod(exponent.get(0, 0), eden)
-            if rest or e < 0:
+            if rest:
                 self.error("exponent must be a nonnegative integer", at)
-            if terms and max(terms) * e > MAX_DEGREE:
-                self.error(f"degree above {MAX_DEGREE}", at)
-            if _bits(terms, den) * e > MAX_BITS:
-                self.error(f"coefficients above {MAX_BITS} bits", at)
-            if len(terms) > 1:
+            # a power over MAX_DEGREE is _power's to reject
+            if len(terms) > 1 and max(terms) * e <= MAX_DEGREE:
                 self.powered += max(terms) * e
             if self.powered > MAX_DEGREE:
                 self.error(f"powered sums above total degree {MAX_DEGREE}", at)
-            terms, den = _power(terms, den, e)
+            try:
+                terms, den = _power(terms, den, e)
+            except ValueError as exc:
+                self.error(str(exc), at)
         self.depth -= 1
         return terms, den
-
-
-def _bits(terms, den) -> int:
-    """Largest numerator plus denominator bit length of a coefficient in
-    lowest terms."""
-    most = 0
-    for v in terms.values():
-        g = gcd(v, den)
-        most = max(most, (v // g).bit_length() + (den // g).bit_length())
-    return most
 
 
 def parse_expression(text: str) -> IndexPolynomial:

@@ -31,8 +31,8 @@ from .exact import CoeffLike, IndexPolynomial, _power_truncated
 # ``eval`` and ``compare``, and ``bench --mmax``.  The kernel's time grows
 # about as m**5.4 here, to about 10 s at m = 400 on a 2-vCPU machine.
 # ``a[k]`` has degree k/2 - 1 in n, so the widest table printed has degree
-# 199, far below the parser's ``MAX_DEGREE`` = 1000, which a table would
-# reach only past k = 2000: every printed table parses back.
+# 199, far below ``exact.MAX_DEGREE`` = 1000, which a table would reach
+# only past k = 2000: every printed table parses back.
 MAX_ORDER = 400
 
 

@@ -27,8 +27,8 @@ from lane_emden import (
     evaluate_table,
     solve_midpoint,
 )
+from lane_emden.exact import MAX_DEGREE
 from lane_emden.integrate import MAX_STEPS
-from lane_emden.parsing import MAX_DEGREE
 from lane_emden.series import MAX_ORDER
 
 GOLDEN_M6 = b"000;1\n002;-1/6\n004;n/120\n006;-n*(8*n - 5)/15120\n"
@@ -41,6 +41,29 @@ INTEGRATE_N3_DX1E3_SHA256 = (
 COMPARE_N3_M10_DX1E3_SHA256 = (
     "400d978875c35ad216155469a3426df95b8a9e3f057048ac29989c6c33b80a2e"
 )
+
+# The float digests are the bytes of one C math library: the one libm call
+# on the float path is ``F**n`` in ``_kernels.midpoint_steps``, and they
+# were pinned with glibc 2.36.  Its ``pow`` is not correctly rounded: these
+# ``(F, F ** 3.0)`` pairs, as hex floats, are samples ``F`` of ``integrate
+# --n 3 --dx 1e-4`` whose cube glibc rounds to the other neighbour of the
+# exact value.  A libm that rounds them differently changes the digests.
+POW_FINGERPRINT = [
+    ("0x1.fff8715a124b6p-1", "0x1.ffe95463e14d8p-1"),
+    ("0x1.ff4e7b6d45decp-1", "0x1.fdec2ad75dffdp-1"),
+    ("0x1.fd721cf8fbb56p-1", "0x1.f8601c08676eap-1"),
+    ("0x1.d6a2c3466ad78p-1", "0x1.8da9ab6c15617p-1"),
+]
+
+
+def pow_note():
+    """Whether this libm's ``pow`` matches :data:`POW_FINGERPRINT`, for the
+    failure message of a float digest."""
+    cubes = [float.fromhex(base) ** 3.0 for base, _ in POW_FINGERPRINT]
+    if cubes == [float.fromhex(cube) for _, cube in POW_FINGERPRINT]:
+        return "this libm's pow matches the glibc 2.36 fingerprint"
+    return ("this libm's pow differs from the glibc 2.36 fingerprint the "
+            "float digests were pinned with: the likely cause")
 
 
 @pytest.fixture(autouse=True)
@@ -229,7 +252,16 @@ class TestOutputBytes:
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
         assert cli.main(argv + ["--out", str(out)]) == 0
-        assert hashlib.sha256(read_bytes(out)).hexdigest() == digest
+        float_csv = argv[0] in ("integrate", "compare")
+        got = hashlib.sha256(read_bytes(out)).hexdigest()
+        assert got == digest, pow_note() if float_csv else ""
+
+    @pytest.mark.parametrize("base, cube", POW_FINGERPRINT)
+    def test_pow_fingerprint(self, base, cube):
+        base, cube = float.fromhex(base), float.fromhex(cube)
+        # one ulp from the correctly rounded cube
+        assert abs(float(Fraction(base) ** 3) - cube) == math.ulp(cube)
+        assert base**3.0 == cube
 
 
 def reference_text(columns):

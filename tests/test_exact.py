@@ -1,5 +1,7 @@
 """Exact rational arithmetic and index polynomials."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lane_emden import IndexPolynomial, N
+from lane_emden.exact import MAX_BITS, MAX_DEGREE
 
 from reference_series import mul_truncated
 
@@ -174,6 +177,37 @@ class TestArithmetic:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             N ** -1
+
+
+class TestPowerBounds:
+    """``**`` on an IndexPolynomial checks the power bounds before any
+    multiplication, as the parser does."""
+
+    def test_power_of_a_sum_over_the_degree(self):
+        # without the bound this took seconds of multiplying
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            (N + 1) ** 3000
+        assert str(exc.value) == f"degree above {MAX_DEGREE}"
+        assert time.perf_counter() - start < 1.0
+
+    def test_monomial_power_over_the_degree(self):
+        with pytest.raises(ValueError) as exc:
+            N ** (MAX_DEGREE + 1)
+        assert str(exc.value) == f"degree above {MAX_DEGREE}"
+
+    def test_power_over_the_coefficient_bits(self):
+        # 3/7 has a 2-bit numerator and a 3-bit denominator
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            IndexPolynomial((Fraction(3, 7),)) ** MAX_BITS
+        assert str(exc.value) == f"coefficients above {MAX_BITS} bits"
+        assert time.perf_counter() - start < 1.0
+
+    def test_powers_within_the_bounds(self):
+        assert N**MAX_DEGREE == IndexPolynomial((0,) * MAX_DEGREE + (1,))
+        binomial = [math.comb(50, k) for k in range(51)]
+        assert (N + 1) ** 50 == IndexPolynomial(binomial)
 
 
 class TestEvaluate:

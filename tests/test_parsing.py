@@ -15,12 +15,8 @@ from lane_emden import (
     parse_expression,
 )
 from lane_emden import parsing
-from lane_emden.parsing import (
-    MAX_BITS,
-    MAX_DEGREE,
-    MAX_DEPTH,
-    MAX_LITERAL_DIGITS,
-)
+from lane_emden.exact import MAX_BITS, MAX_DEGREE
+from lane_emden.parsing import MAX_DEPTH, MAX_LITERAL_DIGITS
 
 from reference_series import mul_truncated
 from reference_tables import SYMBOLIC_A
@@ -284,6 +280,21 @@ class TestBounds:
             parse_expression("((2**1000)**1000)**1000")
         assert str(exc.value) == (
             f"coefficients above {MAX_BITS} bits at position 17"
+        )
+
+    def test_budget_reported_before_coefficient_bits(self):
+        # The second power is over both the budget for powers of sums and
+        # MAX_BITS; the parser checks its budget before exact._power checks
+        # the bits.
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("(n+1)**999 + (2**2000*n + 1)**600")
+        assert str(exc.value) == (
+            f"powered sums above total degree {MAX_DEGREE} at position 28"
+        )
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("(2**2000*n + 1)**600")
+        assert str(exc.value) == (
+            f"coefficients above {MAX_BITS} bits at position 15"
         )
 
     def test_power_bits_count_reduced_coefficients(self):
