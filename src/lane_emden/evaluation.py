@@ -52,13 +52,11 @@ def eval_series_exact(s: TruncatedSeries, x: CoeffLike) -> Fraction:
     return _horner(s.a_values[::2], Fraction(x) ** 2)
 
 
-def residual_coefficients(
-    t: CoefficientTable, n_value: int, m: int | None = None
-) -> list[Fraction]:
+def residual_coefficients(t: CoefficientTable, n_value: int) -> list[Fraction]:
     """Exact residual coefficients of the truncated series in the equation.
 
-    Substituting f = sum_{k<=m} a_k x^k into f'' + (2/x) f' + f^n and
-    collecting powers gives the coefficient of ``x**j`` as
+    Substituting the table's f = sum_{k<=m} a_k x^k into f'' + (2/x) f' +
+    f^n and collecting powers gives the coefficient of ``x**j`` as
 
         (j + 2) * (j + 3) * a_{j+2} + (f^n)_j      for j = 0 .. m-2,
 
@@ -67,5 +65,6 @@ def residual_coefficients(
     :func:`~lane_emden.series.verify_c_by_power`.  Every entry must be
     exactly zero.
     """
-    m, a_vals, power = _evaluated_power(t, n_value, m, "exact residual check")
-    return [k * (k + 1) * a_vals[k] + power[k - 2] for k in range(2, m + 1)]
+    a_vals, power = _evaluated_power(t, n_value, "exact residual check")
+    return [k * (k + 1) * a_vals[k] + power[k - 2]
+            for k in range(2, len(a_vals))]

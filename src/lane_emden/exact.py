@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 CoeffLike = Union[int, Fraction]
 
@@ -33,9 +33,14 @@ CoeffLike = Union[int, Fraction]
 # coefficients of b bits (numerator plus denominator, in lowest terms) may
 # be raised to e only with b*e <= MAX_BITS.  ``a[k]`` has degree k/2 - 1,
 # so a table would need k > 2000 to print a degree above MAX_DEGREE, and
-# its coefficients stay far below MAX_BITS.
+# its coefficients stay far below MAX_BITS.  A base of two or more terms
+# is multiplied in e times: its power's size, estimated as (d*e + 1) * b
+# * e for degree d and b bits of the largest numerator plus the common
+# denominator, is at most MAX_POWER_BITS.  The slowest power found at
+# that bound took 2 s on a 2-vCPU machine; (n + 1)**999 estimates 2 Mbit.
 MAX_DEGREE = 1000
 MAX_BITS = 1 << 20
+MAX_POWER_BITS = 1 << 22
 
 
 def _reduce(nums: list[int], den: int) -> tuple[list[int], int]:
@@ -267,6 +272,9 @@ def _power(terms, den, e: int):
     if len(terms) == 1:
         ((j, v),) = terms.items()
         return {j * e: v**e}, den**e
+    bits = max(map(abs, terms.values())).bit_length() + den.bit_length()
+    if (max(terms) * e + 1) * bits * e > MAX_POWER_BITS:
+        raise ValueError(f"power of a sum above {MAX_POWER_BITS} bits in all")
     power = {0: 1}
     for _ in range(e):
         power = _product(power, terms)
@@ -281,28 +289,6 @@ def _bits(terms, den) -> int:
         g = gcd(v, den)
         most = max(most, (v // g).bit_length() + (den // g).bit_length())
     return most
-
-
-def _power_truncated(b: Sequence[CoeffLike], q: int, m: int) -> list[Fraction]:
-    """Coefficients of ``(sum b_l x^l) ** q`` through ``x**m``, exactly.
-
-    The ``b`` are cleared to integers over one denominator ``D``, the base
-    is multiplied in ``q`` times on dense int lists truncated at ``x**m``,
-    and each coefficient is divided by ``D**q`` once at the end.
-    """
-    base = IndexPolynomial(b[: m + 1])
-    nums = base.nums
-    power = [1] + [0] * m
-    for _ in range(q):
-        out = [0] * (m + 1)
-        for i, pi in enumerate(power):
-            if pi:
-                for j, bj in enumerate(nums[: m + 1 - i]):
-                    if bj:
-                        out[i + j] += pi * bj
-        power = out
-    scale = base.den**q
-    return [Fraction(p, scale) for p in power]
 
 
 def _factored_parts(nums):

@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from . import _kernels
-from .exact import CoeffLike, IndexPolynomial, _power_truncated
+from .exact import CoeffLike, IndexPolynomial
 
 # Largest table order a command may ask for: ``--m`` of ``coeffs``,
 # ``eval`` and ``compare``, and ``bench --mmax``.  The kernel's time grows
@@ -34,6 +35,12 @@ from .exact import CoeffLike, IndexPolynomial, _power_truncated
 # 199, far below ``exact.MAX_DEGREE`` = 1000, which a table would reach
 # only past k = 2000: every printed table parses back.
 MAX_ORDER = 400
+
+# Largest integer index q of the brute-force oracles, checked before any
+# work.  Their power takes time about as q**2 * m**4 for a table of order
+# m: at q = 10, 0.2 s at m = 140 and 11.5 s at MAX_ORDER, whose table
+# took 7.5 s to build (2-vCPU machine).
+MAX_ORACLE_INDEX = 10
 
 
 @dataclass(frozen=True)
@@ -92,9 +99,7 @@ def evaluate_table(t: CoefficientTable, n_value: CoeffLike) -> TruncatedSeries:
     )
 
 
-def verify_c_by_power(
-    t: CoefficientTable, n_value: int, m: int | None = None
-) -> bool:
+def verify_c_by_power(t: CoefficientTable, n_value: int) -> bool:
     """Check the ``c`` table against brute-force series exponentiation.
 
     For an integer index, ``f^n`` can be computed exactly by multiplying
@@ -102,25 +107,44 @@ def verify_c_by_power(
     is independent of the recurrence that produced ``c``.  The products
     run on integers over one common denominator.
     """
-    m, _, power = _evaluated_power(t, n_value, m, "brute-force power check")
-    return power == [poly.evaluate(n_value) for poly in t.c[: m + 1]]
+    _, power = _evaluated_power(t, n_value, "brute-force power check")
+    return power == [poly.evaluate(n_value) for poly in t.c]
 
 
 def _evaluated_power(
-    t: CoefficientTable, n_value: int, m: int | None, check: str
-) -> tuple[int, list[Fraction], list[Fraction]]:
-    """The order ``m``, ``a[0..m]`` at ``n_value``, and ``f**n_value``.
+    t: CoefficientTable, n_value: int, check: str
+) -> tuple[tuple[Fraction, ...], list[Fraction]]:
+    """``a[0..max_index]`` at ``n_value``, and ``f**n_value``.
 
     ``f**n_value`` is the brute-force power of the evaluated series,
-    truncated after ``x**m`` and independent of the recurrence.  ``m``
-    defaults to the table's order; ``check`` names the caller in the error
-    for a bad index.
+    truncated after ``x**max_index`` and independent of the recurrence.
+    ``check`` names the caller in the error for a bad index.
     """
-    if not isinstance(n_value, int) or n_value < 0:
-        raise ValueError(f"{check} needs an integer index >= 0")
-    if m is None:
-        m = t.max_index
-    if m > t.max_index:
-        raise ValueError("m exceeds the table size")
-    a_vals = [poly.evaluate(n_value) for poly in t.a[: m + 1]]
-    return m, a_vals, _power_truncated(a_vals, n_value, m)
+    if not isinstance(n_value, int) or not 0 <= n_value <= MAX_ORACLE_INDEX:
+        raise ValueError(
+            f"{check} needs an integer index from 0 to {MAX_ORACLE_INDEX}"
+        )
+    a_vals = evaluate_table(t, n_value).a_values
+    return a_vals, _power_truncated(a_vals, n_value, t.max_index)
+
+
+def _power_truncated(b: Sequence[CoeffLike], q: int, m: int) -> list[Fraction]:
+    """Coefficients of ``(sum b_l x^l) ** q`` through ``x**m``, exactly.
+
+    The ``b`` are cleared to integers over one denominator ``D``, the base
+    is multiplied in ``q`` times on dense int lists truncated at ``x**m``,
+    and each coefficient is divided by ``D**q`` once at the end.
+    """
+    base = IndexPolynomial(b[: m + 1])
+    nums = base.nums
+    power = [1] + [0] * m
+    for _ in range(q):
+        out = [0] * (m + 1)
+        for i, pi in enumerate(power):
+            if pi:
+                for j, bj in enumerate(nums[: m + 1 - i]):
+                    if bj:
+                        out[i + j] += pi * bj
+        power = out
+    scale = base.den**q
+    return [Fraction(p, scale) for p in power]

@@ -92,7 +92,7 @@ def test_criterion_03_closed_forms(table28):
 
 def test_criterion_04_power_oracle():
     table = compute_coefficients(20)
-    results = {n: verify_c_by_power(table, n, 20) for n in range(6)}
+    results = {n: verify_c_by_power(table, n) for n in range(6)}
     ok = all(results.values())
     report(4, "power-series-oracle", ok)
     assert ok, f"failed indices: {[n for n, r in results.items() if not r]}"
@@ -101,7 +101,7 @@ def test_criterion_04_power_oracle():
 def test_criterion_05_residual_oracle():
     table = compute_coefficients(20)
     ok = all(
-        all(r == 0 for r in residual_coefficients(table, n, 20))
+        all(r == 0 for r in residual_coefficients(table, n))
         for n in range(6)
     )
     report(5, "residual-oracle", ok)

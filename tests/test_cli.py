@@ -23,6 +23,7 @@ from lane_emden import (
     _kernels,
     cli,
     compute_coefficients,
+    eval_series_exact,
     eval_series_float,
     evaluate_table,
     solve_midpoint,
@@ -197,6 +198,47 @@ class TestCompare:
             assert err == abs(sv - fv)
             if x <= 1.0:
                 assert err <= 1e-4
+
+    def test_columns_against_a_third_solution(self, tmp_path):
+        """The benchmark's ``compare`` run against mpmath's ``odefun``.
+
+        The reference is a Taylor-series ODE solution at 20 digits, started
+        at x = 1/2 from the exact order-40 series and its termwise
+        derivative.  Every x checked is inside the series' radius of
+        convergence, about 2.575 at n = 3.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        dx = 1e-4
+        out = tmp_path / "cmp.csv"
+        cli.main(["compare", "--n", "3", "--m", "28", "--dx", str(dx),
+                  "--out", str(out)])
+        rows = read_lines(out)[1:]
+        s = evaluate_table(compute_coefficients(40), 3)
+        x0 = Fraction(1, 2)
+        f0 = eval_series_exact(s, x0)
+        h0 = sum(k * a * x0 ** (k - 1) for k, a in enumerate(s.a_values) if k)
+
+        def mpf(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+
+        # The series column's error is the order-28 truncation: measured
+        # 3.9e-17 at 0.75 (the rounding of F, bounded at about 10 ulps) and
+        # 4.5e-13, 7.5e-8 and 3.5e-4 after it, each bounded at twice that.
+        # The numeric column's error, measured at most 0.028 * dx**2, is
+        # bounded at 0.04 * dx**2.
+        with mpmath.workdps(20):
+            ref = mpmath.odefun(
+                lambda x, y: [y[1], -y[0] ** 3 - 2 * y[1] / x],
+                mpf(x0), [mpf(f0), mpf(h0)],
+            )
+            for target, series_bound in [
+                (0.75, 1e-15), (1.0, 1e-12), (1.5, 1.5e-7), (2.0, 7e-4),
+            ]:
+                x, sv, fv, _ = map(float, rows[round(target / dx)].split(","))
+                assert abs(x - target) < 1e-9
+                want = ref(x)[0]
+                assert abs(sv - want) <= series_bound
+                assert abs(fv - want) <= 0.04 * dx**2
 
     def test_exact_series_error_is_integrator_error(self, tmp_path):
         # index 0: the degree-2 series is the exact solution, and the

@@ -18,6 +18,7 @@ from lane_emden import (
     evaluate_table,
     residual_coefficients,
 )
+from lane_emden.series import MAX_ORACLE_INDEX
 
 TABLE20 = compute_coefficients(20)
 
@@ -131,12 +132,12 @@ class TestExactEvaluation:
 class TestResiduals:
     @pytest.mark.parametrize("n_value", range(6))
     def test_vanish_for_integer_indices(self, n_value):
-        res = residual_coefficients(TABLE20, n_value, 20)
+        res = residual_coefficients(TABLE20, n_value)
         assert len(res) == 19
         assert all(r == 0 for r in res)
 
     def test_low_order_table(self):
-        res = residual_coefficients(compute_coefficients(4), 0, 4)
+        res = residual_coefficients(compute_coefficients(4), 0)
         assert all(r == 0 for r in res)
 
     def test_defaults_to_table_order(self):
@@ -145,7 +146,16 @@ class TestResiduals:
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
-            residual_coefficients(TABLE20, Fraction(1, 2), 10)
+            residual_coefficients(TABLE20, Fraction(1, 2))
+
+    def test_index_bounded(self):
+        assert not any(residual_coefficients(TABLE20, MAX_ORACLE_INDEX))
+        with pytest.raises(ValueError) as exc:
+            residual_coefficients(TABLE20, MAX_ORACLE_INDEX + 1)
+        assert str(exc.value) == (
+            "exact residual check needs an integer index from 0 to"
+            f" {MAX_ORACLE_INDEX}"
+        )
 
     def test_detects_wrong_coefficient(self):
         t = compute_coefficients(6)
@@ -159,5 +169,5 @@ class TestResiduals:
             a=tuple(type(t.a[0])((v,)) for v in bad),
             c=t.c,
         )
-        res = residual_coefficients(broken, 3, 6)
+        res = residual_coefficients(broken, 3)
         assert any(r != 0 for r in res)

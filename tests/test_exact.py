@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lane_emden import IndexPolynomial, N
-from lane_emden.exact import MAX_BITS, MAX_DEGREE
+from lane_emden.exact import MAX_BITS, MAX_DEGREE, MAX_POWER_BITS
 
 from reference_series import mul_truncated
 
@@ -202,6 +202,44 @@ class TestPowerBounds:
         with pytest.raises(ValueError) as exc:
             IndexPolynomial((Fraction(3, 7),)) ** MAX_BITS
         assert str(exc.value) == f"coefficients above {MAX_BITS} bits"
+        assert time.perf_counter() - start < 1.0
+
+    def test_power_of_a_sum_over_its_size(self):
+        # degree 998 and 701 * 499 coefficient bits pass the bounds above,
+        # but the power has about 350 Mbit: over 10 s without this bound
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            IndexPolynomial((-1, 0, 2**700)) ** 499
+        assert str(exc.value) == (
+            f"power of a sum above {MAX_POWER_BITS} bits in all"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    def test_power_size_at_the_bound(self):
+        # (c*n + 1)**4 has 5 coefficients: with b bits of c plus the 1-bit
+        # denominator, its estimate is 5 * b * 4, and 4 * b is within
+        # MAX_BITS, so the size bound alone decides
+        b = MAX_POWER_BITS // 20
+        base = 2 ** (b - 2) * N + 1
+        assert (base**4).coefficient(4) == 2 ** (4 * (b - 2))
+        with pytest.raises(ValueError) as exc:
+            (2 * base - 1) ** 4
+        assert str(exc.value) == (
+            f"power of a sum above {MAX_POWER_BITS} bits in all"
+        )
+
+    def test_power_size_counts_the_common_denominator(self):
+        # Each 1/p has about 10 bits in lowest terms, but the base is
+        # multiplied in over the product of all 101 primes, about 860
+        # bits: counted in lowest terms, this power took 3 s.
+        primes = [p for p in range(2, 600) if all(p % d for d in range(2, p))]
+        base = IndexPolynomial([Fraction(1, p) for p in primes[:101]])
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            base ** 10
+        assert str(exc.value) == (
+            f"power of a sum above {MAX_POWER_BITS} bits in all"
+        )
         assert time.perf_counter() - start < 1.0
 
     def test_powers_within_the_bounds(self):

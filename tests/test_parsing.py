@@ -15,7 +15,7 @@ from lane_emden import (
     parse_expression,
 )
 from lane_emden import parsing
-from lane_emden.exact import MAX_BITS, MAX_DEGREE
+from lane_emden.exact import MAX_BITS, MAX_DEGREE, MAX_POWER_BITS
 from lane_emden.parsing import MAX_DEPTH, MAX_LITERAL_DIGITS
 
 from reference_series import mul_truncated
@@ -296,6 +296,17 @@ class TestBounds:
         assert str(exc.value) == (
             f"coefficients above {MAX_BITS} bits at position 15"
         )
+
+    def test_power_of_a_sum_size(self):
+        # within the degree, bits and budget bounds, but about 350 Mbit of
+        # result: over 10 s of multiplying without exact._power's size bound
+        start = time.perf_counter()
+        with pytest.raises(ExpressionError) as exc:
+            parse_expression("(2**700*n**2-1)**499")
+        assert str(exc.value) == (
+            f"power of a sum above {MAX_POWER_BITS} bits in all at position 15"
+        )
+        assert time.perf_counter() - start < 1.0
 
     def test_power_bits_count_reduced_coefficients(self):
         # 6/4 is 3/2: 2 + 2 bits, not 3 + 3.

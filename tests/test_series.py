@@ -1,6 +1,7 @@
 """Recurrence output, the generic power recurrence, and evaluation."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from lane_emden import (
     verify_c_by_power,
 )
 from lane_emden._kernels import _interpolate, lee_series_tables
-from lane_emden.exact import _power_truncated
+from lane_emden.series import MAX_ORACLE_INDEX, _power_truncated
 
 from reference_series import miller_power, mul_truncated
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
@@ -235,18 +236,28 @@ class TestVerifyCByPower:
     @pytest.mark.parametrize("n_value", range(6))
     def test_integer_indices(self, n_value):
         t = compute_coefficients(20)
-        assert verify_c_by_power(t, n_value, 20)
+        assert verify_c_by_power(t, n_value)
 
     def test_defaults_to_table_order(self):
         assert verify_c_by_power(compute_coefficients(12), 2)
 
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
-            verify_c_by_power(TABLE28, Fraction(3, 2), 10)
+            verify_c_by_power(TABLE28, Fraction(3, 2))
 
-    def test_rejects_order_past_the_table(self):
-        with pytest.raises(ValueError, match="m exceeds the table size"):
-            verify_c_by_power(compute_coefficients(4), 3, 6)
+    def test_index_bounded_before_any_work(self):
+        # without the bound, index 20,000 ran for more than 110 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            verify_c_by_power(compute_coefficients(20), 20_000)
+        assert str(exc.value) == (
+            "brute-force power check needs an integer index from 0 to"
+            f" {MAX_ORACLE_INDEX}"
+        )
+        assert time.perf_counter() - start < 1.0
+
+    def test_index_at_the_bound(self):
+        assert verify_c_by_power(compute_coefficients(20), MAX_ORACLE_INDEX)
 
     def test_detects_corruption(self):
         t = compute_coefficients(6)
@@ -255,7 +266,7 @@ class TestVerifyCByPower:
             a=t.a,
             c=t.c[:6] + (t.c[6] + 1,),
         )
-        assert not verify_c_by_power(broken, 3, 6)
+        assert not verify_c_by_power(broken, 3)
 
 
 class TestMulTruncated:
