@@ -61,10 +61,14 @@ def residual_coefficients(t: CoefficientTable, n_value: int) -> list[Fraction]:
         (j + 2) * (j + 3) * a_{j+2} + (f^n)_j      for j = 0 .. m-2,
 
     with ``f^n`` computed by repeated truncated multiplication (integer
-    index required for exactness), the same brute-force power as
-    :func:`~lane_emden.series.verify_c_by_power`.  Every entry must be
-    exactly zero.
+    index required for exactness), the integer power kept on the table
+    for :func:`~lane_emden.series.verify_c_by_power` too.  Every entry
+    must be exactly zero; each is one fraction over the power's ``den**n``
+    (``den`` at n = 0).
     """
-    a_vals, power = _evaluated_power(t, n_value, "exact residual check")
-    return [k * (k + 1) * a_vals[k] + power[k - 2]
-            for k in range(2, len(a_vals))]
+    nums, den, power = _evaluated_power(t, n_value, "exact residual check")
+    scale = den ** max(n_value, 1)
+    lift_a, lift_power = scale // den, scale // den**n_value
+    return [Fraction(k * (k + 1) * nums[k] * lift_a
+                     + power[k - 2] * lift_power, scale)
+            for k in range(2, len(nums))]

@@ -15,21 +15,22 @@ recurrence
 :func:`compute_coefficients` runs this recurrence symbolically, producing
 ``a_k`` and ``c_k`` as exact polynomials in the index ``n``, and
 :func:`verify_c_by_power` cross-checks the ``c`` table against brute-force
-repeated series multiplication, which never touches the recurrence.
+repeated series multiplication, which never touches the recurrence.  That
+power runs on ints, once per table and index, for it and the residual.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from math import gcd, lcm
 
 from . import _kernels
 from .exact import CoeffLike, IndexPolynomial
 
-# Largest table order a command may ask for: ``--m`` of ``coeffs``,
-# ``eval`` and ``compare``, and ``bench --mmax``.  The kernel's time grows
+# Largest table order, checked by ``compute_coefficients`` and by the
+# types of every ``--m`` and ``bench --mmax``.  The kernel's time grows
 # about as m**5.4 here, to about 10 s at m = 400 on a 2-vCPU machine.
 # ``a[k]`` has degree k/2 - 1 in n, so the widest table printed has degree
 # 199, far below ``exact.MAX_DEGREE`` = 1000, which a table would reach
@@ -38,8 +39,8 @@ MAX_ORDER = 400
 
 # Largest integer index q of the brute-force oracles, checked before any
 # work.  Their power takes time about as q**2 * m**4 for a table of order
-# m: at q = 10, 0.2 s at m = 140 and 11.5 s at MAX_ORDER, whose table
-# took 7.5 s to build (2-vCPU machine).
+# m: at q = 10, 0.16 s at m = 140 and 18 s at MAX_ORDER, whose table
+# took 10 s to build (2-vCPU machine).
 MAX_ORACLE_INDEX = 10
 
 
@@ -54,6 +55,10 @@ class CoefficientTable:
     max_index: int
     a: tuple[IndexPolynomial, ...]
     c: tuple[IndexPolynomial, ...]
+    # _evaluated_power's results by index; a new table starts empty
+    _powers: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,8 @@ def compute_coefficients(m: int) -> CoefficientTable:
     ``_kernels.lee_series_tables``, whose reduced integer lists and
     denominators are the form :class:`IndexPolynomial` stores.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if not 0 <= m <= MAX_ORDER:
+        raise ValueError(f"m: must be between 0 and {MAX_ORDER}")
     a_num, a_den, c_num, c_den = _kernels.lee_series_tables(m)
     a = tuple(map(IndexPolynomial.from_integers, a_num, a_den))
     c = tuple(map(IndexPolynomial.from_integers, c_num, c_den))
@@ -104,47 +109,52 @@ def verify_c_by_power(t: CoefficientTable, n_value: int) -> bool:
 
     For an integer index, ``f^n`` can be computed exactly by multiplying
     the evaluated ``a`` series by itself ``n`` times with truncation; this
-    is independent of the recurrence that produced ``c``.  The products
-    run on integers over one common denominator.
+    is independent of the recurrence that produced ``c``.  Each ``c[k]``
+    is compared with the power by cross-multiplying integers.
     """
-    _, power = _evaluated_power(t, n_value, "brute-force power check")
-    return power == [poly.evaluate(n_value) for poly in t.c]
+    _, den, power = _evaluated_power(t, n_value, "brute-force power check")
+    scale = den**n_value
+    return len(t.c) == len(power) and all(
+        _kernels._horner(c.nums, n_value) * scale == p * c.den
+        for c, p in zip(t.c, power)
+    )
 
 
 def _evaluated_power(
     t: CoefficientTable, n_value: int, check: str
-) -> tuple[tuple[Fraction, ...], list[Fraction]]:
-    """``a[0..max_index]`` at ``n_value``, and ``f**n_value``.
+) -> tuple[list[int], int, list[int]]:
+    """``(nums, den, power)``: the ``a[k]`` and ``f**n_value`` at ``n_value``.
 
-    ``f**n_value`` is the brute-force power of the evaluated series,
-    truncated after ``x**max_index`` and independent of the recurrence.
-    ``check`` names the caller in the error for a bad index.
+    ``a[k]`` is ``nums[k] / den`` over their least common denominator, and
+    the truncated brute-force power is ``power[k] / den**n_value``; both
+    are kept on the table.  ``check`` names the caller in the index error.
     """
     if not isinstance(n_value, int) or not 0 <= n_value <= MAX_ORACLE_INDEX:
         raise ValueError(
             f"{check} needs an integer index from 0 to {MAX_ORACLE_INDEX}"
         )
-    a_vals = evaluate_table(t, n_value).a_values
-    return a_vals, _power_truncated(a_vals, n_value, t.max_index)
+    memo = t._powers
+    if n_value not in memo:
+        den = lcm(*[poly.den for poly in t.a])
+        nums = [_kernels._horner(poly.nums, n_value) * (den // poly.den)
+                for poly in t.a]
+        # the values' own common denominator keeps the products small
+        g = gcd(den, *nums)
+        nums = [v // g for v in nums]
+        den //= g
+        memo[n_value] = nums, den, _power_truncated(nums, n_value, t.max_index)
+    return memo[n_value]
 
 
-def _power_truncated(b: Sequence[CoeffLike], q: int, m: int) -> list[Fraction]:
-    """Coefficients of ``(sum b_l x^l) ** q`` through ``x**m``, exactly.
-
-    The ``b`` are cleared to integers over one denominator ``D``, the base
-    is multiplied in ``q`` times on dense int lists truncated at ``x**m``,
-    and each coefficient is divided by ``D**q`` once at the end.
-    """
-    base = IndexPolynomial(b[: m + 1])
-    nums = base.nums
+def _power_truncated(b: list[int], q: int, m: int) -> list[int]:
+    """``(sum b_l x^l) ** q`` through ``x**m``, on dense lists of ints."""
     power = [1] + [0] * m
     for _ in range(q):
         out = [0] * (m + 1)
         for i, pi in enumerate(power):
             if pi:
-                for j, bj in enumerate(nums[: m + 1 - i]):
+                for j, bj in enumerate(b[: m + 1 - i]):
                     if bj:
                         out[i + j] += pi * bj
         power = out
-    scale = base.den**q
-    return [Fraction(p, scale) for p in power]
+    return power

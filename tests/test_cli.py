@@ -727,6 +727,26 @@ class TestBench:
             assert "Traceback" not in err
             assert not out.exists()
 
+    def test_mmax_above_the_order_bound_times_nothing(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # the option's type is the one check of the order, and it fails
+        # before the first timing
+        def timed(m):
+            raise AssertionError(f"timed m = {m}")
+
+        monkeypatch.setattr(cli, "_time_once", timed)
+        out = tmp_path / "unused.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--mmax", str(MAX_ORDER + 1), "--out",
+                      str(out)])
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert (f"lane-emden bench: error: argument --mmax: must be between"
+                f" 2 and {MAX_ORDER}") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mmax", ["0", "1"])
     def test_mmax_below_two_names_mmax(self, mmax, capsys, tmp_path):
         # no table of fewer than two entries can be timed, even with

@@ -1,5 +1,6 @@
 """Recurrence output, the generic power recurrence, and evaluation."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -15,11 +16,13 @@ from lane_emden import (
     compute_coefficients,
     evaluate_table,
     parse_expression,
+    residual_coefficients,
+    series,
     solve_midpoint,
     verify_c_by_power,
 )
 from lane_emden._kernels import _interpolate, lee_series_tables
-from lane_emden.series import MAX_ORACLE_INDEX, _power_truncated
+from lane_emden.series import MAX_ORACLE_INDEX, MAX_ORDER, _power_truncated
 
 from reference_series import miller_power, mul_truncated
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
@@ -89,8 +92,17 @@ class TestRecurrence:
                 assert (v > 0) == (j % 2 == 0)
 
     def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             compute_coefficients(-1)
+        assert str(exc.value) == f"m: must be between 0 and {MAX_ORDER}"
+
+    def test_order_bounded_before_any_work(self):
+        # without the bound, m = MAX_ORDER + 1 ran the kernel for about 10 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as exc:
+            compute_coefficients(MAX_ORDER + 1)
+        assert str(exc.value) == f"m: must be between 0 and {MAX_ORDER}"
+        assert time.perf_counter() - start < 1.0
 
     def test_table_is_prefix_stable(self):
         small = compute_coefficients(10)
@@ -269,6 +281,134 @@ class TestVerifyCByPower:
         assert not verify_c_by_power(broken, 3)
 
 
+@pytest.fixture
+def power_indices(monkeypatch):
+    """The index of each brute-force power the oracles compute."""
+    indices = []
+    power_truncated = series._power_truncated
+
+    def counted(b, q, m):
+        indices.append(q)
+        return power_truncated(b, q, m)
+
+    monkeypatch.setattr(series, "_power_truncated", counted)
+    return indices
+
+
+class TestSharedPower:
+    """Both oracles read one power per table and index, kept on the table."""
+
+    def test_both_oracles_share_one_power(self, power_indices):
+        t = compute_coefficients(12)
+        assert not any(residual_coefficients(t, 3))
+        assert verify_c_by_power(t, 3)
+        assert power_indices == [3]
+
+    def test_each_index_has_its_own_power(self, power_indices):
+        t = compute_coefficients(12)
+        assert verify_c_by_power(t, 3)
+        assert verify_c_by_power(t, 2)
+        assert not any(residual_coefficients(t, 2))
+        assert power_indices == [3, 2]
+
+    def test_rebuilt_tables_start_empty(self, power_indices):
+        t = compute_coefficients(12)
+        assert verify_c_by_power(t, 3)
+        broken_c = t.c[:4] + (t.c[4] + 1,) + t.c[5:]
+        assert not verify_c_by_power(
+            type(t)(max_index=t.max_index, a=t.a, c=broken_c), 3
+        )
+        assert not verify_c_by_power(dataclasses.replace(t, c=broken_c), 3)
+        broken_a = t.a[:4] + (t.a[4] + 1,) + t.a[5:]
+        broken = dataclasses.replace(t, a=broken_a)
+        assert any(residual_coefficients(broken, 3))
+        assert power_indices == [3, 3, 3, 3]
+
+    def test_index_checked_on_every_call(self, power_indices):
+        t = compute_coefficients(12)
+        assert verify_c_by_power(t, 3)
+        assert verify_c_by_power(t, MAX_ORACLE_INDEX)
+        for oracle, check in [
+            (verify_c_by_power, "brute-force power check"),
+            (residual_coefficients, "exact residual check"),
+        ]:
+            with pytest.raises(ValueError) as exc:
+                oracle(t, MAX_ORACLE_INDEX + 1)
+            assert str(exc.value) == (
+                f"{check} needs an integer index from 0 to {MAX_ORACLE_INDEX}"
+            )
+        assert power_indices == [3, MAX_ORACLE_INDEX]
+
+    def test_power_over_the_least_common_denominator(self):
+        # of the values, not of the polynomials: over the latter, the
+        # power at n = 10 took up to twice as long
+        t = compute_coefficients(40)
+        nums, den, _ = series._evaluated_power(t, 10, "check")
+        a_vals = evaluate_table(t, 10).a_values
+        assert den == math.lcm(*[v.denominator for v in a_vals])
+        assert [Fraction(v, den) for v in nums] == list(a_vals)
+
+    def test_memo_is_not_part_of_the_value(self):
+        t = compute_coefficients(12)
+        assert verify_c_by_power(t, 3)
+        assert not any(residual_coefficients(t, 2))
+        fresh = type(t)(t.max_index, t.a, t.c)
+        assert t == fresh
+        assert hash(t) == hash(fresh)
+        assert repr(t) == repr(fresh)
+
+
+def _perturbed(t, a_index, c_index):
+    """``t`` with ``a[a_index]`` and ``c[c_index]`` off by nonzero terms.
+
+    The ``c`` term vanishes at n = 0 and n = 3, so the power check passes
+    there when the ``a`` table is intact.
+    """
+    a, c = list(t.a), list(t.c)
+    if a_index is not None:
+        a[a_index] += (N + 1) / 7
+    if c_index is not None:
+        c[c_index] += N * (N - 3) / 5
+    return type(t)(t.max_index, tuple(a), tuple(c))
+
+
+class TestOraclesAgainstReferences:
+    """Both oracles against plain ``Fraction`` references at every index.
+
+    The references evaluate the table with ``evaluate_table`` and take
+    the power by repeated ``mul_truncated``, so a slip in the oracles'
+    integer scaling shows as a wrong value, not only as a wrong verdict.
+    """
+
+    TABLE = compute_coefficients(12)
+
+    @pytest.mark.parametrize("a_index, c_index", [
+        (None, None),
+        (None, 4),
+        (None, 7),
+        (5, 4),
+        (6, 7),
+    ])
+    @pytest.mark.parametrize("q", range(MAX_ORACLE_INDEX + 1))
+    def test_values(self, q, a_index, c_index):
+        t = _perturbed(self.TABLE, a_index, c_index)
+        m = t.max_index
+        a_vals = evaluate_table(t, q).a_values
+        power = [Fraction(1)] + [Fraction(0)] * m
+        for _ in range(q):
+            power = mul_truncated(power, a_vals, m)
+        assert residual_coefficients(t, q) == [
+            k * (k + 1) * a_vals[k] + power[k - 2] for k in range(2, m + 1)
+        ]
+        c_vals = [c.evaluate(q) for c in t.c]
+        assert verify_c_by_power(t, q) == (c_vals == power)
+
+    def test_wrong_length_c_table_fails(self):
+        t = self.TABLE
+        for c in (t.c[:-1], t.c + (IndexPolynomial(()),)):
+            assert not verify_c_by_power(dataclasses.replace(t, c=c), 3)
+
+
 class TestMulTruncated:
     def test_basic(self):
         u = [Fraction(1), Fraction(1)]
@@ -302,7 +442,9 @@ class TestIntegerClearedPower:
         want = [Fraction(1)] + [Fraction(0)] * m
         for _ in range(q):
             want = mul_truncated(want, b, m)
-        assert _power_truncated(b, q, m) == want
+        den = math.lcm(*[v.denominator for v in b])
+        power = _power_truncated([int(v * den) for v in b], q, m)
+        assert [Fraction(p, den**q) for p in power] == want
 
 
 class TestRadiusOfConvergence:
