@@ -21,8 +21,9 @@ product ``c_i * c_j``.  At step ``k`` the sum is a polynomial of degree
 nodes ``n = 0, 1, ..., k/2`` and interpolates ``c_k`` back from those
 values, instead of multiplying the polynomials coefficient by coefficient.
 
-:func:`_horner` is the package's one Horner loop: the kernel, the float
-seed, and the float and exact series evaluations all call it.
+:func:`_horner` is the Horner loop of the kernel, the float seed, the float
+and exact series evaluations and the brute-force oracles; the loop of
+``IndexPolynomial.evaluate`` at ``n = p/q``, homogenized in ``q``, is faster.
 """
 
 from __future__ import annotations

@@ -182,10 +182,10 @@ def _write_floats(
     that worker's text of chunk ``i - k`` has been received and written:
     the texts come back in order, at most ``k`` chunks are out, and the
     next chunk is stepped while the workers format.  Otherwise each chunk
-    is formatted in this process.  A worker is sent the float64 bytes of a
-    chunk, one message a column; every text is received into one buffer
-    and written from it.  The workers are stopped and joined, and every
-    connection closed, however the writing ends.
+    is formatted in this process.  A chunk goes to its worker, and its
+    text or the worker's error comes back, as one pickled message each
+    way.  The workers are stopped and joined, and every connection
+    closed, however the writing ends.
     """
     chunks = iter(chunks)
     ahead = list(itertools.islice(chunks, 2))
@@ -212,18 +212,13 @@ def _write_floats(
                 # own, and that thread's heap kept several MB resident
                 # after each run.
                 context = multiprocessing.get_context("fork")
-                width = len(ahead[0])
-                # every text is received into this buffer, large enough
-                # for any: a .17g field takes at most 24 characters and a
-                # comma or newline
-                buf = bytearray(CHUNK_ROWS * width * 25)
                 busy = []  # the connections of the chunks out, oldest first
                 for chunk in chunks:
                     if len(conns) < k:
                         conn, child_conn = context.Pipe()
                         conns.append(conn)
                         proc = context.Process(target=_format_chunks,
-                                               args=(width, child_conn))
+                                               args=(child_conn,))
                         proc.start()
                         procs.append(proc)
                         # the worker holds the only other end now, so
@@ -232,12 +227,11 @@ def _write_floats(
                         child_conn.close()
                     else:
                         conn = busy.pop(0)
-                        _receive(conn, buf, fh)
-                    for column in chunk:
-                        conn.send_bytes(column)
+                        _receive(conn, fh)
+                    conn.send(chunk)
                     busy.append(conn)
                 for conn in busy:
-                    _receive(conn, buf, fh)
+                    _receive(conn, fh)
         finally:
             for proc in procs:
                 proc.terminate()
@@ -265,26 +259,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _receive(conn, buf: bytearray, out) -> None:
-    """Write to ``out`` the text ``conn``'s worker sends back, via ``buf``."""
-    size = conn.recv_bytes_into(buf)
-    if not size:  # the worker failed, and sends its error
-        raise conn.recv()
-    out.write(memoryview(buf)[:size])
+def _receive(conn, out) -> None:
+    """Write to ``out`` the text ``conn``'s worker sends back."""
+    text = conn.recv()
+    if isinstance(text, Exception):  # the worker failed, and sent its error
+        raise text
+    out.write(text)
 
 
-def _format_chunks(width: int, conn) -> None:
-    """In a worker: send the text of each chunk it gets, or the error.
-
-    A chunk has at least one row, so an empty message announces the error.
-    """
+def _format_chunks(conn) -> None:
+    """In a worker: send the text of each chunk it gets, or the error."""
     try:
         while True:
-            fields = [memoryview(conn.recv_bytes()).cast("d")
-                      for _ in range(width)]
-            conn.send_bytes(_chunk_text(fields))
+            conn.send(_chunk_text(conn.recv()))
     except Exception as exc:
-        conn.send_bytes(b"")
         conn.send(exc)
 
 

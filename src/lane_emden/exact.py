@@ -149,13 +149,17 @@ class IndexPolynomial:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
-        other = _terms(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            other = IndexPolynomial((other,))
+        elif not isinstance(other, IndexPolynomial):
             return NotImplemented
-        return _terms(self) == other
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+        if len(self.nums) > 1:
+            return hash((self.nums, self.den))
+        # a constant equals, so hashes as, the Fraction of its value
+        return hash(self.coefficient(0))
 
     # -- evaluation and printing -------------------------------------------
 

@@ -52,13 +52,17 @@ class CoefficientTable:
     needs no parity bookkeeping.
     """
 
-    max_index: int
     a: tuple[IndexPolynomial, ...]
     c: tuple[IndexPolynomial, ...]
     # _evaluated_power's results by index; a new table starts empty
     _powers: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    @property
+    def max_index(self) -> int:
+        """The highest index ``m``, read off the ``a`` column."""
+        return len(self.a) - 1
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,12 @@ class TruncatedSeries:
     """
 
     n_value: Fraction
-    max_index: int
     a_values: tuple[Fraction, ...]
+
+    @property
+    def max_index(self) -> int:
+        """The highest index ``m``, read off ``a_values``."""
+        return len(self.a_values) - 1
 
     @cached_property
     def even_floats(self) -> tuple[float, ...]:
@@ -92,16 +100,14 @@ def compute_coefficients(m: int) -> CoefficientTable:
     a_num, a_den, c_num, c_den = _kernels.lee_series_tables(m)
     a = tuple(map(IndexPolynomial.from_integers, a_num, a_den))
     c = tuple(map(IndexPolynomial.from_integers, c_num, c_den))
-    return CoefficientTable(max_index=m, a=a, c=c)
+    return CoefficientTable(a=a, c=c)
 
 
 def evaluate_table(t: CoefficientTable, n_value: CoeffLike) -> TruncatedSeries:
     """Evaluate every ``a[k]`` exactly at a rational index value."""
     n_value = Fraction(n_value)
     values = tuple(poly.evaluate(n_value) for poly in t.a)
-    return TruncatedSeries(
-        n_value=n_value, max_index=t.max_index, a_values=values
-    )
+    return TruncatedSeries(n_value=n_value, a_values=values)
 
 
 def verify_c_by_power(t: CoefficientTable, n_value: int) -> bool:

@@ -428,26 +428,27 @@ class TestFormattingWorkers:
         self, tmp_path, cpus, monkeypatch, count
     ):
         cpus(count)
-        # the column messages sent, and the chunks whose texts were written
+        # the chunks the parent sent, and the texts it received and wrote
         alive, forked, sent, written = [], [], [0], [0]
         steps = _kernels.midpoint_steps
         context = multiprocessing.get_context("fork")
-        send, receive = Connection.send_bytes, Connection.recv_bytes_into
+        send, receive = Connection.send, Connection.recv
         process, parent = context.Process, os.getpid()
 
         def counted_steps(*args):
             alive.append(len(multiprocessing.active_children()))
             return steps(*args)
 
+        # a worker sends and receives, too: only the parent's are counted
         def counted_send(conn, *args):
-            if os.getpid() == parent:  # a worker sends its text, too
+            if os.getpid() == parent:
                 sent[0] += 1
-                # three columns a chunk: never more than k chunks out
-                assert -(-sent[0] // 3) - written[0] <= count
+                assert sent[0] - written[0] <= count
             return send(conn, *args)
 
         def counted_receive(conn, *args):
-            written[0] += 1
+            if os.getpid() == parent:
+                written[0] += 1
             return receive(conn, *args)
 
         def counted_process(*args, **kwargs):
@@ -455,8 +456,8 @@ class TestFormattingWorkers:
             return process(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "midpoint_steps", counted_steps)
-        monkeypatch.setattr(Connection, "send_bytes", counted_send)
-        monkeypatch.setattr(Connection, "recv_bytes_into", counted_receive)
+        monkeypatch.setattr(Connection, "send", counted_send)
+        monkeypatch.setattr(Connection, "recv", counted_receive)
         monkeypatch.setattr(type(context), "Process",
                             staticmethod(counted_process))
         argv, digest = self.CASES[0]
@@ -464,7 +465,7 @@ class TestFormattingWorkers:
         # every worker formats while the grid is still being stepped
         assert max(alive) == count
         assert len(forked) == count
-        assert sent[0] == 3 * written[0] == 3 * 173  # 6,897 rows, 40 a chunk
+        assert sent[0] == written[0] == 173  # 6,897 rows, 40 a chunk
 
     @pytest.mark.parametrize("argv, digest", CASES)
     def test_one_cpu_formats_in_process(
@@ -609,10 +610,10 @@ class TestChunkBoundaries:
         assert bool(forks) == (cpus > 1 and rows > 40)
         assert multiprocessing.active_children() == []
 
-    def test_widest_chunks_fit_the_receive_buffer(self, tmp_path, monkeypatch):
-        # a .17g field is at most 24 characters, as this one is, and the
-        # parent receives each text into CHUNK_ROWS * width * 25 bytes,
-        # which a full chunk of four such columns fills exactly
+    def test_widest_chunks_go_through_the_workers(self, tmp_path, monkeypatch):
+        # a .17g field is at most 24 characters, as this one is, so a full
+        # chunk of four such columns, with their commas and newlines, is
+        # the longest text a chunk of the widest CSV can have
         widest = -2.2250738585072014e-308
         assert len(format(widest, ".17g")) == 24
         chunk = (array("d", [widest]) * cli.CHUNK_ROWS,) * 4
@@ -630,6 +631,32 @@ class TestChunkBoundaries:
         cli._write_floats(str(out), "a,b,c,d", [chunk] * 2)
         assert forks == ["fork"]
         assert read_bytes(out) == b"a,b,c,d\n" + text * 2
+        assert multiprocessing.active_children() == []
+
+    def test_texts_of_any_length_come_back(self, tmp_path, monkeypatch):
+        # each text is longer than CHUNK_ROWS * width * 25 bytes, which no
+        # chunk's .17g text reaches, and comes back whole from a worker
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        forks, get_context = [], multiprocessing.get_context
+        chunk_text = cli._chunk_text
+
+        def counted(method):
+            forks.append(method)
+            return get_context(method)
+
+        def padded(fields):
+            return chunk_text(fields) * (cli.CHUNK_ROWS * 25)
+
+        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        monkeypatch.setattr(cli, "_chunk_text", padded)
+        chunks = [(array("d", [i]), array("d", [-i])) for i in range(3)]
+        out = tmp_path / "out.csv"
+        cli._write_floats(str(out), "x,y", chunks)
+        texts = [b"%d,%d\n" % (i, -i) * (cli.CHUNK_ROWS * 25)
+                 for i in range(3)]
+        assert min(map(len, texts)) > cli.CHUNK_ROWS * 2 * 25
+        assert forks == ["fork"]
+        assert read_bytes(out) == b"x,y\n" + b"".join(texts)
         assert multiprocessing.active_children() == []
 
     # 80 samples, 2 chunks: the step after the second chunk passes xmax

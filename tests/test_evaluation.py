@@ -165,7 +165,6 @@ class TestResiduals:
             for k, v in enumerate(e.a_values)
         )
         broken = type(t)(
-            max_index=6,
             a=tuple(type(t.a[0])((v,)) for v in bad),
             c=t.c,
         )

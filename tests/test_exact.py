@@ -21,6 +21,13 @@ monomials = st.builds(
     lambda c, d: IndexPolynomial((0,) * d + (c,)), rationals, st.integers(0, 5)
 )
 factors = st.one_of(polynomials, monomials)
+# ints, Fractions and polynomials of few values, so equal pairs come often
+few_scalars = st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+few_values = st.one_of(
+    few_scalars,
+    st.builds(Fraction, few_scalars),
+    st.lists(few_scalars, max_size=3).map(IndexPolynomial),
+)
 # (nums, den) with a shared factor, negatives and trailing zeros
 integer_forms = st.builds(
     lambda vs, f, zeros, d: ([v * f for v in vs] + [0] * zeros, d * f),
@@ -128,6 +135,15 @@ class TestArithmetic:
 
     def test_hash_consistent_with_eq(self):
         assert hash(IndexPolynomial((0, 1))) == hash(N)
+        assert len({1, IndexPolynomial((1,))}) == 1
+        assert len({Fraction(1, 2), IndexPolynomial((Fraction(1, 2),))}) == 1
+        assert hash(IndexPolynomial(())) == hash(0)
+
+    @given(few_values, few_values)
+    def test_equal_values_hash_equal(self, p, q):
+        if p == q:
+            assert hash(p) == hash(q)
+        assert (p == q) == (q == p)
 
     @given(polynomials, polynomials)
     def test_add_commutes(self, p, q):

@@ -274,7 +274,6 @@ class TestVerifyCByPower:
     def test_detects_corruption(self):
         t = compute_coefficients(6)
         broken = type(t)(
-            max_index=6,
             a=t.a,
             c=t.c[:6] + (t.c[6] + 1,),
         )
@@ -293,6 +292,27 @@ def power_indices(monkeypatch):
 
     monkeypatch.setattr(series, "_power_truncated", counted)
     return indices
+
+
+class TestTableOrder:
+    """The order of a table or series is read off its tuples."""
+
+    def test_order_is_the_length_of_a(self):
+        t = compute_coefficients(6)
+        assert t.max_index == 6
+        assert evaluate_table(t, 3).max_index == 6
+        shorter = type(t)(a=t.a[:4], c=t.c[:4])
+        assert shorter.max_index == 3
+        assert verify_c_by_power(shorter, 3)
+        assert not any(residual_coefficients(shorter, 3))
+
+    def test_order_is_not_a_constructor_argument(self):
+        t = compute_coefficients(6)
+        with pytest.raises(TypeError):
+            type(t)(max_index=3, a=t.a, c=t.c)
+        s = evaluate_table(t, 3)
+        with pytest.raises(TypeError):
+            type(s)(n_value=s.n_value, max_index=3, a_values=s.a_values)
 
 
 class TestSharedPower:
@@ -315,9 +335,7 @@ class TestSharedPower:
         t = compute_coefficients(12)
         assert verify_c_by_power(t, 3)
         broken_c = t.c[:4] + (t.c[4] + 1,) + t.c[5:]
-        assert not verify_c_by_power(
-            type(t)(max_index=t.max_index, a=t.a, c=broken_c), 3
-        )
+        assert not verify_c_by_power(type(t)(a=t.a, c=broken_c), 3)
         assert not verify_c_by_power(dataclasses.replace(t, c=broken_c), 3)
         broken_a = t.a[:4] + (t.a[4] + 1,) + t.a[5:]
         broken = dataclasses.replace(t, a=broken_a)
@@ -352,7 +370,7 @@ class TestSharedPower:
         t = compute_coefficients(12)
         assert verify_c_by_power(t, 3)
         assert not any(residual_coefficients(t, 2))
-        fresh = type(t)(t.max_index, t.a, t.c)
+        fresh = type(t)(t.a, t.c)
         assert t == fresh
         assert hash(t) == hash(fresh)
         assert repr(t) == repr(fresh)
@@ -369,7 +387,7 @@ def _perturbed(t, a_index, c_index):
         a[a_index] += (N + 1) / 7
     if c_index is not None:
         c[c_index] += N * (N - 3) / 5
-    return type(t)(t.max_index, tuple(a), tuple(c))
+    return type(t)(tuple(a), tuple(c))
 
 
 class TestOraclesAgainstReferences:
