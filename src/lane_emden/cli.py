@@ -15,11 +15,14 @@ the float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a
 time from the stepped grid, through :func:`_write_floats`, the one place
 that decides whether to fork and runs the workers: forked workers on the
 CPUs the process may use format the chunks while the next one is stepped.
-With one CPU, a single chunk, no ``fork`` or another thread running, each
-chunk is formatted in the process itself, to the same bytes.  Output is
-byte-identical for a given CPython and C math library: the one libm call on
-the float path is ``F**n`` in ``_kernels.midpoint_steps``, and the pinned
-digests come from glibc's ``pow`` (2.36; CI runs on ubuntu-latest only).
+Where its pipes can be enlarged (Linux), each worker has its next chunk
+queued and sends its text without waiting for the parent; elsewhere the
+workers and the parent go in lockstep.  With one CPU, a single chunk, no
+``fork`` or another thread running, each chunk is formatted in the
+process itself, to the same bytes.  Output is byte-identical for a given
+CPython and C math library: the one libm call on the float path is
+``F**n`` in ``_kernels.midpoint_steps``, and the pinned digests come from
+glibc's ``pow`` (2.36; CI runs on ubuntu-latest only).
 """
 
 from __future__ import annotations
@@ -178,14 +181,19 @@ def _write_floats(
 
     Given a second chunk, ``k >= 2`` usable CPUs, the ``fork`` start
     method and no other thread running, a worker is forked for each of
-    the first ``k`` chunks.  Chunk ``i`` then goes to worker ``i % k`` once
-    that worker's text of chunk ``i - k`` has been received and written:
-    the texts come back in order, at most ``k`` chunks are out, and the
-    next chunk is stepped while the workers format.  Otherwise each chunk
-    is formatted in this process.  A chunk goes to its worker, and its
-    text or the worker's error comes back, as one pickled message each
-    way.  The workers are stopped and joined, and every connection
-    closed, however the writing ends.
+    the first ``k`` chunks, with one pipe for its chunks and one for its
+    texts.  Chunk ``i`` goes to worker ``i % k``, the texts are received
+    and written in order, and the next chunk is stepped while the workers
+    format.  Where every pipe can be enlarged to hold two of the largest
+    messages (``F_SETPIPE_SZ``, on Linux), at most ``2k`` chunks are out:
+    chunk ``i`` is sent once the text of chunk ``i - 2k`` has been
+    written, so a worker finds its next chunk queued and never waits to
+    send a text.  Otherwise at most ``k`` are, in lockstep: chunk ``i`` is
+    sent once the text of chunk ``i - k`` has been written.  When no
+    worker is forked, each chunk is formatted in this process.  A chunk
+    goes to its worker, and its text or the worker's error comes back, as
+    one pickled message.  The workers are stopped and joined, and every
+    connection closed, however the writing ends.
     """
     chunks = iter(chunks)
     ahead = list(itertools.islice(chunks, 2))
@@ -212,26 +220,48 @@ def _write_floats(
                 # own, and that thread's heap kept several MB resident
                 # after each run.
                 context = multiprocessing.get_context("fork")
-                busy = []  # the connections of the chunks out, oldest first
-                for chunk in chunks:
-                    if len(conns) < k:
-                        conn, child_conn = context.Pipe()
-                        conns.append(conn)
+                # Room for two messages either way: a text takes at most
+                # 25 bytes a field (a .17g field has at most 24 characters,
+                # then its comma or newline) and a chunk 8 bytes a field;
+                # a message's pickle framing and header, and the pages it
+                # shares with its neighbours in the pipe, take less than
+                # four pages more.
+                pipe_bytes = 2 * (len(ahead[0]) * CHUNK_ROWS * 25
+                                  + 4 * os.sysconf("SC_PAGESIZE"))
+                window = 2 * k
+                workers = []  # the parent's ends: chunks in, texts out
+                busy = []  # the text ends of the chunks out, oldest first
+                for i, chunk in enumerate(chunks):
+                    if i < k:
+                        chunks_in, feed = context.Pipe(duplex=False)
+                        texts, texts_out = context.Pipe(duplex=False)
+                        conns += [chunks_in, feed, texts, texts_out]
+                        # in smaller pipes a 2k window could hang, the
+                        # parent waiting to send a chunk to a worker that
+                        # waits to send it a text
+                        if not (_enlarge(feed, pipe_bytes)
+                                and _enlarge(texts, pipe_bytes)):
+                            window = k
                         proc = context.Process(target=_format_chunks,
-                                               args=(child_conn,))
+                                               args=(chunks_in, texts_out))
                         proc.start()
                         procs.append(proc)
-                        # the worker holds the only other end now, so
-                        # should it die, the parent's recv raises EOFError
-                        # instead of waiting
-                        child_conn.close()
-                    else:
-                        conn = busy.pop(0)
-                        _receive(conn, fh)
-                    conn.send(chunk)
-                    busy.append(conn)
-                for conn in busy:
-                    _receive(conn, fh)
+                        # the worker holds the only other ends now, so
+                        # should it die, a send to it raises BrokenPipeError
+                        # and a recv from it EOFError, instead of waiting
+                        chunks_in.close()
+                        texts_out.close()
+                        workers.append((feed, texts))
+                    if len(busy) == window:
+                        _receive(busy.pop(0), fh)
+                    feed, texts = workers[i % k]
+                    try:
+                        feed.send(chunk)
+                    except BrokenPipeError:
+                        pass  # the worker died: its text's recv says so
+                    busy.append(texts)
+                for texts in busy:
+                    _receive(texts, fh)
         finally:
             for proc in procs:
                 proc.terminate()
@@ -267,13 +297,24 @@ def _receive(conn, out) -> None:
     out.write(text)
 
 
-def _format_chunks(conn) -> None:
-    """In a worker: send the text of each chunk it gets, or the error."""
+def _enlarge(conn, size: int) -> bool:
+    """Whether ``conn``'s pipe now holds at least ``size`` bytes."""
+    import fcntl
+
+    resize = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
+    try:
+        return resize is not None and fcntl.fcntl(conn, resize, size) >= size
+    except OSError:  # past fs.pipe-max-size, or the user's pipe quota
+        return False
+
+
+def _format_chunks(chunks, texts) -> None:
+    """In a worker: send the text of each of ``chunks``, or the error."""
     try:
         while True:
-            conn.send(_chunk_text(conn.recv()))
+            texts.send(_chunk_text(chunks.recv()))
     except Exception as exc:
-        conn.send(exc)
+        texts.send(exc)
 
 
 def _rational(text: str) -> Fraction:

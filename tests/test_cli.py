@@ -1,5 +1,7 @@
 """Command line interface: formats, determinism, exit codes."""
 
+import errno
+import fcntl
 import hashlib
 import json
 import math
@@ -8,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from array import array
 from fractions import Fraction
@@ -423,13 +426,11 @@ class TestFormattingWorkers:
         cpus(2)
         assert self.run(tmp_path, argv) == digest
 
-    @pytest.mark.parametrize("count", [2, 3])
-    def test_k_workers_at_most_k_chunks_out(
-        self, tmp_path, cpus, monkeypatch, count
-    ):
-        cpus(count)
+    def most_chunks_out(self, tmp_path, monkeypatch, count):
+        """The most chunks the parent had out at once in a pinned
+        ``integrate`` run on ``count`` workers."""
         # the chunks the parent sent, and the texts it received and wrote
-        alive, forked, sent, written = [], [], [0], [0]
+        alive, forked, sent, written, out = [], [], [0], [0], [0]
         steps = _kernels.midpoint_steps
         context = multiprocessing.get_context("fork")
         send, receive = Connection.send, Connection.recv
@@ -443,7 +444,7 @@ class TestFormattingWorkers:
         def counted_send(conn, *args):
             if os.getpid() == parent:
                 sent[0] += 1
-                assert sent[0] - written[0] <= count
+                out[0] = max(out[0], sent[0] - written[0])
             return send(conn, *args)
 
         def counted_receive(conn, *args):
@@ -466,6 +467,31 @@ class TestFormattingWorkers:
         assert max(alive) == count
         assert len(forked) == count
         assert sent[0] == written[0] == 173  # 6,897 rows, 40 a chunk
+        return out[0]
+
+    # Enlarged pipes hold two chunks and two texts each, so each worker
+    # has a chunk queued: at most 2k chunks are out.
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_k_workers_at_most_k_chunks_out(
+        self, tmp_path, cpus, monkeypatch, count
+    ):
+        cpus(count)
+        assert self.most_chunks_out(tmp_path, monkeypatch, count) == 2 * count
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("pipes", ["refused", "not_linux"])
+    def test_pipes_not_enlarged_keep_k_chunks_out(
+        self, tmp_path, cpus, monkeypatch, count, pipes
+    ):
+        if pipes == "refused":
+            def refuse(*args):
+                raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+            monkeypatch.setattr(fcntl, "fcntl", refuse)
+        else:
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
+        cpus(count)
+        assert self.most_chunks_out(tmp_path, monkeypatch, count) == count
 
     @pytest.mark.parametrize("argv, digest", CASES)
     def test_one_cpu_formats_in_process(
@@ -560,6 +586,43 @@ class TestFormattingWorkers:
             cli.main(argv + ["--out", str(tmp_path / "out.csv")])
         assert multiprocessing.active_children() == []
 
+    def test_worker_death_found_on_a_queued_send(
+        self, tmp_path, cpus, monkeypatch
+    ):
+        # each of the two workers exits on its second chunk, which came
+        # queued behind its first; the parent sends a fifth chunk only
+        # once both are gone, so that send meets a closed pipe
+        calls, broken, chunk_text = [], [], cli._chunk_text
+        send, sent, parent = Connection.send, [0], os.getpid()
+
+        def die_second(fields):
+            calls.append(1)  # each worker counts in its own copy
+            if len(calls) == 2:
+                os._exit(3)
+            return chunk_text(fields)
+
+        def send_once_dead(conn, *args):
+            if os.getpid() == parent:
+                sent[0] += 1
+                deadline = time.monotonic() + 60
+                while (sent[0] == 5 and multiprocessing.active_children()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+            try:
+                return send(conn, *args)
+            except BrokenPipeError:
+                broken.append(sent[0])
+                raise
+
+        cpus(2)
+        monkeypatch.setattr(cli, "_chunk_text", die_second)
+        monkeypatch.setattr(Connection, "send", send_once_dead)
+        argv, _ = self.CASES[0]
+        with pytest.raises(EOFError):
+            cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert broken[0] == 5
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
     def test_write_error_is_io_error(self, cpus, capsys):
@@ -633,6 +696,19 @@ class TestChunkBoundaries:
         assert read_bytes(out) == b"a,b,c,d\n" + text * 2
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_widest_chunks_fill_the_window(self, tmp_path, monkeypatch, count):
+        # 2k + 1 chunks: each pipe holds two of the largest messages, and
+        # the last chunk waits for the first text
+        widest = -2.2250738585072014e-308
+        chunk = (array("d", [widest]) * cli.CHUNK_ROWS,) * 4
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+        out = tmp_path / "out.csv"
+        cli._write_floats(str(out), "a,b,c,d", [chunk] * (2 * count + 1))
+        text = cli._chunk_text(chunk)
+        assert read_bytes(out) == b"a,b,c,d\n" + text * (2 * count + 1)
+        assert multiprocessing.active_children() == []
+
     def test_texts_of_any_length_come_back(self, tmp_path, monkeypatch):
         # each text is longer than CHUNK_ROWS * width * 25 bytes, which no
         # chunk's .17g text reaches, and comes back whole from a worker
@@ -690,7 +766,12 @@ class TestChunkBoundaries:
 
 
 class TestMemory:
-    """Float output holds one chunk of samples plus at most ``k`` texts.
+    """Float output holds a few chunks and texts at a time, never the grid.
+
+    The parent holds the chunk being stepped and the text being written.
+    The chunks out and their texts, at most ``2k`` of each with enlarged
+    pipes and ``k`` without, wait in the workers and in the pipes' kernel
+    buffers, outside the traced heap and the parent's resident set.
 
     Holding the samples as Python floats, or the text of the whole file,
     would each add several MiB at these 69,000-row grids, and holding
