@@ -13,16 +13,16 @@ output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
 and floats at 17 significant digits (round-trip precision).  The rows of
 the float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a
 time from the stepped grid, through :func:`_write_floats`, the one place
-that decides whether to fork and runs the workers: forked workers on the
-CPUs the process may use format the chunks while the next one is stepped.
-Where its pipes can be enlarged (Linux), each worker has its next chunk
-queued and sends its text without waiting for the parent; elsewhere the
-workers and the parent go in lockstep.  With one CPU, a single chunk, no
-``fork`` or another thread running, each chunk is formatted in the
-process itself, to the same bytes.  Output is byte-identical for a given
-CPython and C math library: the one libm call on the float path is
-``F**n`` in ``_kernels.midpoint_steps``, and the pinned digests come from
-glibc's ``pow`` (2.36; CI runs on ubuntu-latest only).
+that decides whether to fork and runs the workers: on ``k`` usable CPUs,
+``k - 1`` forked workers and the process itself format the chunks while
+the next one is stepped.  Where its pipes can be enlarged (Linux), a
+worker may have two chunks queued; elsewhere it has one at a time.  With
+one CPU, a single chunk, no ``fork`` or another thread running, the
+process formats every chunk itself, to the same bytes.  Output is
+byte-identical for a given CPython and C math library: the one libm call
+on the float path is ``F**n`` in ``_kernels.midpoint_steps``, and the
+pinned digests come from glibc's ``pow`` (2.36; CI runs on ubuntu-latest
+only).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import itertools
 import os
 import sys
 import time
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -175,25 +176,25 @@ def _write_floats(
     Each of ``chunks`` is a tuple of equal-length float64 columns
     (``array("d")`` or ndarray) of 1 to ``CHUNK_ROWS`` rows, and a row
     holds the text :func:`_fmt` gives for each of its fields.  ``tail`` is
-    read once ``chunks`` is exhausted.  The first two chunks are taken
-    before ``out_path`` is opened: a run raises the errors of its start,
-    the seed's among them, on the first.
+    read once ``chunks`` is exhausted.  The first two chunks are taken, and
+    handed on, before ``out_path`` is opened: a run raises the errors of
+    its start, the seed's among them, on the first, and truncating an old
+    file overlaps the workers' formatting.
 
     Given a second chunk, ``k >= 2`` usable CPUs, the ``fork`` start
-    method and no other thread running, a worker is forked for each of
-    the first ``k`` chunks, with one pipe for its chunks and one for its
-    texts.  Chunk ``i`` goes to worker ``i % k``, the texts are received
-    and written in order, and the next chunk is stepped while the workers
-    format.  Where every pipe can be enlarged to hold two of the largest
-    messages (``F_SETPIPE_SZ``, on Linux), at most ``2k`` chunks are out:
-    chunk ``i`` is sent once the text of chunk ``i - 2k`` has been
-    written, so a worker finds its next chunk queued and never waits to
-    send a text.  Otherwise at most ``k`` are, in lockstep: chunk ``i`` is
-    sent once the text of chunk ``i - k`` has been written.  When no
-    worker is forked, each chunk is formatted in this process.  A chunk
-    goes to its worker, and its text or the worker's error comes back, as
-    one pickled message.  The workers are stopped and joined, and every
-    connection closed, however the writing ends.
+    method and no other thread running, ``k - 1`` workers are forked, each
+    with a pipe for its chunks and one for its texts.  A chunk goes to the
+    worker with the fewest out if that one has fewer than ``W`` out, and is
+    formatted here otherwise.  ``W`` is 3 where every pipe could be
+    enlarged (``F_SETPIPE_SZ``, on Linux): a chunk in progress and two
+    queued while this process formats one and steps the next; else 1.  The
+    texts are written in order: before each chunk is handed on, those
+    ready at the head, and with two of this process's own waiting and every
+    worker full, the oldest worker text is waited for.  A chunk goes to its
+    worker as one pickled message; every text is formatted in the pieces
+    of :func:`_pieces`, which a worker sends back one message each, then
+    an empty one.  However the writing ends, the workers are stopped and
+    joined, and every connection closed.
     """
     chunks = iter(chunks)
     ahead = list(itertools.islice(chunks, 2))
@@ -207,69 +208,87 @@ def _write_floats(
         if (threading.active_count() > 1
                 or "fork" not in multiprocessing.get_all_start_methods()):
             k = 1
-    chunks = itertools.chain(ahead, chunks)
-    procs, conns = [], []
-    with open(out_path, "wb") as fh:
-        fh.write(f"{head}\n".encode("ascii"))
-        try:
-            if k < 2:
-                for chunk in chunks:
-                    fh.write(_chunk_text(chunk))
+    procs, conns, feeds, texts, out = [], [], [], [], []  # out: chunks out
+    window = 3
+    pending = deque()  # in output order: own pieces, or a worker index
+
+    def hand_on(chunk):
+        fewest = min(out, default=window)
+        if fewest < window:
+            j = out.index(fewest)
+            try:
+                feeds[j].send(chunk)
+            except BrokenPipeError:
+                pass  # the worker died: its text's recv says so
+            out[j] += 1
+            pending.append(j)
+        else:
+            pending.append(_pieces(chunk))
+
+    def write_ready(fh, wait):
+        while pending:
+            j = pending[0]
+            if type(j) is list:
+                fh.writelines(j)
+            elif (wait or texts[j].poll() or min(out) == window
+                    and sum(type(e) is list for e in pending) == 2):
+                while text := texts[j].recv():  # b"" ends a text
+                    if isinstance(text, Exception):  # the worker's error
+                        raise text
+                    fh.write(text)
+                out[j] -= 1
             else:
-                # No pool: it would receive the texts on a thread of its
-                # own, and that thread's heap kept several MB resident
-                # after each run.
-                context = multiprocessing.get_context("fork")
-                # Room for two messages either way: a text takes at most
-                # 25 bytes a field (a .17g field has at most 24 characters,
-                # then its comma or newline) and a chunk 8 bytes a field;
-                # a message's pickle framing and header, and the pages it
-                # shares with its neighbours in the pipe, take less than
-                # four pages more.
-                pipe_bytes = 2 * (len(ahead[0]) * CHUNK_ROWS * 25
-                                  + 4 * os.sysconf("SC_PAGESIZE"))
-                window = 2 * k
-                workers = []  # the parent's ends: chunks in, texts out
-                busy = []  # the text ends of the chunks out, oldest first
-                for i, chunk in enumerate(chunks):
-                    if i < k:
-                        chunks_in, feed = context.Pipe(duplex=False)
-                        texts, texts_out = context.Pipe(duplex=False)
-                        conns += [chunks_in, feed, texts, texts_out]
-                        # in smaller pipes a 2k window could hang, the
-                        # parent waiting to send a chunk to a worker that
-                        # waits to send it a text
-                        if not (_enlarge(feed, pipe_bytes)
-                                and _enlarge(texts, pipe_bytes)):
-                            window = k
-                        proc = context.Process(target=_format_chunks,
-                                               args=(chunks_in, texts_out))
-                        proc.start()
-                        procs.append(proc)
-                        # the worker holds the only other ends now, so
-                        # should it die, a send to it raises BrokenPipeError
-                        # and a recv from it EOFError, instead of waiting
-                        chunks_in.close()
-                        texts_out.close()
-                        workers.append((feed, texts))
-                    if len(busy) == window:
-                        _receive(busy.pop(0), fh)
-                    feed, texts = workers[i % k]
-                    try:
-                        feed.send(chunk)
-                    except BrokenPipeError:
-                        pass  # the worker died: its text's recv says so
-                    busy.append(texts)
-                for texts in busy:
-                    _receive(texts, fh)
-        finally:
-            for proc in procs:
-                proc.terminate()
-            for proc in procs:
-                proc.join()
-            for conn in conns:
-                conn.close()
-        fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
+                break
+            pending.popleft()
+
+    try:
+        if k >= 2:
+            # No pool: it would receive the texts on a thread of its own,
+            # whose heap kept several MB resident after each run.
+            context = multiprocessing.get_context("fork")
+            # Room for two texts, at most 25 bytes a field (a .17g field
+            # has at most 24 characters, then its comma or newline), and
+            # less than four pages more for their framing and the pages
+            # they share.  Three chunks, at 8 bytes a field, fit in it, so
+            # a send to a worker with fewer than W = 3 out never waits.
+            pipe_bytes = 2 * (len(ahead[0]) * CHUNK_ROWS * 25
+                              + 4 * os.sysconf("SC_PAGESIZE"))
+        for _ in range(k - 1):
+            chunks_in, feed = context.Pipe(duplex=False)
+            text_end, texts_out = context.Pipe(duplex=False)
+            conns += [chunks_in, feed, text_end, texts_out]
+            # in smaller pipes, this process could wait to send a chunk to
+            # a worker that waits to send it a text
+            if not (_enlarge(feed, pipe_bytes)
+                    and _enlarge(text_end, pipe_bytes)):
+                window = 1
+            proc = context.Process(target=_format_chunks,
+                                   args=(chunks_in, texts_out))
+            proc.start()
+            procs.append(proc)
+            # the worker holds the only other ends now: should it die, a
+            # send to it raises BrokenPipeError and a recv EOFError
+            chunks_in.close()
+            texts_out.close()
+            feeds.append(feed)
+            texts.append(text_end)
+            out.append(0)
+        while ahead:
+            hand_on(ahead.pop(0))
+        with open(out_path, "wb") as fh:
+            fh.write(f"{head}\n".encode("ascii"))
+            for chunk in chunks:
+                write_ready(fh, False)
+                hand_on(chunk)
+            write_ready(fh, True)
+            fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
 
 
 def _chunk_text(fields: Sequence[Sequence[float]]) -> bytes:
@@ -289,12 +308,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _receive(conn, out) -> None:
-    """Write to ``out`` the text ``conn``'s worker sends back."""
-    text = conn.recv()
-    if isinstance(text, Exception):  # the worker failed, and sent its error
-        raise text
-    out.write(text)
+def _pieces(fields: Sequence[Sequence[float]]) -> list[bytes]:
+    """The text of ``fields`` in pieces of ``CHUNK_ROWS // 8`` rows, so that
+    no process holds more than a piece's formatting at once."""
+    rows = CHUNK_ROWS // 8
+    return [_chunk_text([field[lo:lo + rows] for field in fields])
+            for lo in range(0, len(fields[0]), rows)]
 
 
 def _enlarge(conn, size: int) -> bool:
@@ -312,7 +331,8 @@ def _format_chunks(chunks, texts) -> None:
     """In a worker: send the text of each of ``chunks``, or the error."""
     try:
         while True:
-            texts.send(_chunk_text(chunks.recv()))
+            for piece in _pieces(chunks.recv()) + [b""]:
+                texts.send(piece)
     except Exception as exc:
         texts.send(exc)
 

@@ -9,12 +9,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import termios
 import threading
 import time
 import tracemalloc
 from array import array
 from fractions import Fraction
 from multiprocessing.connection import Connection
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -426,12 +428,16 @@ class TestFormattingWorkers:
         cpus(2)
         assert self.run(tmp_path, argv) == digest
 
-    def most_chunks_out(self, tmp_path, monkeypatch, count):
-        """The most chunks the parent had out at once in a pinned
-        ``integrate`` run on ``count`` workers."""
-        # the chunks the parent sent, and the texts it received and wrote
-        alive, forked, sent, written, out = [], [], [0], [0], [0]
-        steps = _kernels.midpoint_steps
+    def share(self, tmp_path, monkeypatch, count, slow):
+        """How the parent shared a pinned ``integrate`` run on ``count``
+        CPUs, each worker sleeping ``slow`` seconds before each chunk: the
+        most chunks it had out at once, the most of its own texts waiting,
+        and the number of chunks it formatted itself."""
+        # the parent's chunks in order, "w" sent to a worker and "p"
+        # formatted itself, and the worker texts it received
+        alive, forked, order, received = [], [], [], [0]
+        most = {"out": 0, "own": 0}
+        steps, pieces = _kernels.midpoint_steps, cli._pieces
         context = multiprocessing.get_context("fork")
         send, receive = Connection.send, Connection.recv
         process, parent = context.Process, os.getpid()
@@ -440,23 +446,41 @@ class TestFormattingWorkers:
             alive.append(len(multiprocessing.active_children()))
             return steps(*args)
 
-        # a worker sends and receives, too: only the parent's are counted
+        def own_waiting():
+            # the parent's texts behind the oldest worker text not received
+            to_workers = [i for i, to in enumerate(order) if to == "w"]
+            oldest = (to_workers[received[0]]
+                      if received[0] < len(to_workers) else len(order))
+            return order[oldest:].count("p")
+
+        # a worker sends, receives and formats, too: only the parent's count
+        def counted_pieces(fields):
+            if os.getpid() == parent:
+                order.append("p")
+                most["own"] = max(most["own"], own_waiting())
+            else:
+                time.sleep(slow)
+            return pieces(fields)
+
         def counted_send(conn, *args):
             if os.getpid() == parent:
-                sent[0] += 1
-                out[0] = max(out[0], sent[0] - written[0])
+                order.append("w")
+                most["out"] = max(most["out"],
+                                  order.count("w") - received[0])
             return send(conn, *args)
 
         def counted_receive(conn, *args):
-            if os.getpid() == parent:
-                written[0] += 1
-            return receive(conn, *args)
+            message = receive(conn, *args)
+            if os.getpid() == parent and message == b"":  # a text's end
+                received[0] += 1
+            return message
 
         def counted_process(*args, **kwargs):
             forked.append(1)
             return process(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, "midpoint_steps", counted_steps)
+        monkeypatch.setattr(cli, "_pieces", counted_pieces)
         monkeypatch.setattr(Connection, "send", counted_send)
         monkeypatch.setattr(Connection, "recv", counted_receive)
         monkeypatch.setattr(type(context), "Process",
@@ -464,19 +488,22 @@ class TestFormattingWorkers:
         argv, digest = self.CASES[0]
         assert self.run(tmp_path, argv) == digest
         # every worker formats while the grid is still being stepped
-        assert max(alive) == count
-        assert len(forked) == count
-        assert sent[0] == written[0] == 173  # 6,897 rows, 40 a chunk
-        return out[0]
+        assert max(alive) == count - 1
+        assert len(forked) == count - 1
+        assert len(order) == 173  # 6,897 rows, 40 a chunk
+        assert order.count("w") == received[0]
+        return most["out"], most["own"], order.count("p")
 
-    # Enlarged pipes hold two chunks and two texts each, so each worker
-    # has a chunk queued: at most 2k chunks are out.
+    # Enlarged pipes hold three chunks each, so each of the k - 1 workers
+    # may have one in progress and two queued: at most 3(k - 1) are out.
+    # The workers are slowed, so that the parent fills every window.
     @pytest.mark.parametrize("count", [2, 3])
     def test_k_workers_at_most_k_chunks_out(
         self, tmp_path, cpus, monkeypatch, count
     ):
         cpus(count)
-        assert self.most_chunks_out(tmp_path, monkeypatch, count) == 2 * count
+        out, _, _ = self.share(tmp_path, monkeypatch, count, slow=0.002)
+        assert out == 3 * (count - 1)
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("pipes", ["refused", "not_linux"])
@@ -491,7 +518,29 @@ class TestFormattingWorkers:
         else:
             monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
         cpus(count)
-        assert self.most_chunks_out(tmp_path, monkeypatch, count) == count
+        out, _, _ = self.share(tmp_path, monkeypatch, count, slow=0.002)
+        assert out == count - 1  # one chunk a worker, in lockstep
+
+    def test_parent_and_worker_share_the_chunks(
+        self, tmp_path, cpus, monkeypatch
+    ):
+        # A worker slowed by 1 ms a chunk: unslowed, at 40 rows a chunk the
+        # one worker kept up with the stepping in a few runs of 200, and
+        # the parent formatted nothing.
+        cpus(2)
+        _, _, own = self.share(tmp_path, monkeypatch, 2, slow=0.001)
+        assert 1 <= own < 173
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_slow_worker_leaves_two_own_texts_waiting(
+        self, tmp_path, cpus, monkeypatch, count
+    ):
+        # with every worker full and two of its own texts waiting, the
+        # parent waits for the oldest worker text before it formats more
+        cpus(count)
+        _, own_waiting, _ = self.share(tmp_path, monkeypatch, count,
+                                       slow=0.002)
+        assert own_waiting == 2
 
     @pytest.mark.parametrize("argv, digest", CASES)
     def test_one_cpu_formats_in_process(
@@ -533,9 +582,30 @@ class TestFormattingWorkers:
         )
 
     def test_worker_error_surfaces(self, tmp_path, cpus, monkeypatch):
-        # only the workers call _chunk_text when there are two CPUs
+        # the worker sends its error, and the parent raises it
+        chunk_text, parent = cli._chunk_text, os.getpid()
+
         def fail(fields):
-            raise LookupError(f"chunk at x={fields[0][0]}")
+            if os.getpid() != parent:
+                raise LookupError(f"chunk at x={fields[0][0]}")
+            return chunk_text(fields)
+
+        cpus(2)
+        monkeypatch.setattr(cli, "_chunk_text", fail)
+        argv, _ = self.CASES[0]
+        with pytest.raises(LookupError, match="chunk at"):
+            cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert multiprocessing.active_children() == []
+
+    def test_parent_chunk_error_surfaces(self, tmp_path, cpus, monkeypatch):
+        # the worker is slowed, so that the parent formats chunks of its own
+        chunk_text, parent = cli._chunk_text, os.getpid()
+
+        def fail(fields):
+            if os.getpid() == parent:
+                raise LookupError(f"chunk at x={fields[0][0]}")
+            time.sleep(0.001)
+            return chunk_text(fields)
 
         cpus(2)
         monkeypatch.setattr(cli, "_chunk_text", fail)
@@ -575,9 +645,13 @@ class TestFormattingWorkers:
         assert conns and all(conn.closed for conn in conns)
 
     def test_worker_death_surfaces(self, tmp_path, cpus, monkeypatch):
-        # a worker that exits without sending its chunk closes its pipe
+        # a worker that exits without sending its text closes its pipe
+        chunk_text, parent = cli._chunk_text, os.getpid()
+
         def die(fields):
-            os._exit(3)
+            if os.getpid() != parent:
+                os._exit(3)
+            return chunk_text(fields)
 
         cpus(2)
         monkeypatch.setattr(cli, "_chunk_text", die)
@@ -589,25 +663,32 @@ class TestFormattingWorkers:
     def test_worker_death_found_on_a_queued_send(
         self, tmp_path, cpus, monkeypatch
     ):
-        # each of the two workers exits on its second chunk, which came
-        # queued behind its first; the parent sends a fifth chunk only
-        # once both are gone, so that send meets a closed pipe
-        calls, broken, chunk_text = [], [], cli._chunk_text
+        # The one worker on two CPUs gets chunks 0 and 1 before --out is
+        # opened, and chunk 2 after.  It holds chunk 0 until the parent
+        # is at its third send, then exits on chunk 1, which came queued
+        # behind it; that send waits for the exit, so it meets a closed
+        # pipe.
+        calls, broken, pieces = [], [], cli._pieces
         send, sent, parent = Connection.send, [0], os.getpid()
+        gate, opener = os.pipe()
 
         def die_second(fields):
-            calls.append(1)  # each worker counts in its own copy
-            if len(calls) == 2:
-                os._exit(3)
-            return chunk_text(fields)
+            if os.getpid() != parent:
+                calls.append(1)  # the worker counts in its own copy
+                if len(calls) == 2:
+                    os._exit(3)
+                os.read(gate, 1)
+            return pieces(fields)
 
         def send_once_dead(conn, *args):
             if os.getpid() == parent:
                 sent[0] += 1
-                deadline = time.monotonic() + 60
-                while (sent[0] == 5 and multiprocessing.active_children()
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
+                if sent[0] == 3:
+                    os.write(opener, b"x")
+                    deadline = time.monotonic() + 60
+                    while (multiprocessing.active_children()
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
             try:
                 return send(conn, *args)
             except BrokenPipeError:
@@ -615,12 +696,26 @@ class TestFormattingWorkers:
                 raise
 
         cpus(2)
-        monkeypatch.setattr(cli, "_chunk_text", die_second)
+        monkeypatch.setattr(cli, "_pieces", die_second)
         monkeypatch.setattr(Connection, "send", send_once_dead)
         argv, _ = self.CASES[0]
-        with pytest.raises(EOFError):
-            cli.main(argv + ["--out", str(tmp_path / "out.csv")])
-        assert broken[0] == 5
+        try:
+            with pytest.raises(EOFError):
+                cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        finally:
+            os.close(gate)
+            os.close(opener)
+        assert broken[0] == 3
+        assert multiprocessing.active_children() == []
+
+    def test_missing_out_directory_is_io_error(self, tmp_path, cpus, capsys):
+        # --out is opened once the worker has its first chunks
+        cpus(2)
+        argv, _ = self.CASES[0]
+        out = tmp_path / "missing" / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == cli.IO_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
         assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -698,8 +793,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_widest_chunks_fill_the_window(self, tmp_path, monkeypatch, count):
-        # 2k + 1 chunks: each pipe holds two of the largest messages, and
-        # the last chunk waits for the first text
+        # 2k + 1 chunks: more than the windows of the k - 1 workers hold
         widest = -2.2250738585072014e-308
         chunk = (array("d", [widest]) * cli.CHUNK_ROWS,) * 4
         monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
@@ -732,6 +826,75 @@ class TestChunkBoundaries:
                  for i in range(3)]
         assert min(map(len, texts)) > cli.CHUNK_ROWS * 2 * 25
         assert forks == ["fork"]
+        assert read_bytes(out) == b"x,y\n" + b"".join(texts)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"),
+                        reason="needs Linux pipe sizes")
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_chunk_sends_never_wait(self, tmp_path, monkeypatch, count):
+        # with the workers slowed, so that the parent fills every window,
+        # each chunk of the widest CSV finds room for its whole message
+        # (a 4-byte header, then the pickle) in its pipe; the columns are
+        # distinct arrays, which the pickle cannot share
+        widest = -2.2250738585072014e-308
+        chunk = tuple(array("d", [widest]) * cli.CHUNK_ROWS for _ in "abcd")
+        message = len(ForkingPickler.dumps(chunk)) + 4
+        send, pieces = Connection.send, cli._pieces
+        parent = os.getpid()
+        queued, room = [], []
+
+        def slowed(fields):
+            if os.getpid() != parent:
+                time.sleep(0.01)
+            return pieces(fields)
+
+        def measured_send(conn, obj):
+            if os.getpid() == parent:
+                in_pipe = array("i", [0])
+                fcntl.ioctl(conn.fileno(), termios.FIONREAD, in_pipe)
+                size = fcntl.fcntl(conn.fileno(), fcntl.F_GETPIPE_SZ)
+                queued.append(in_pipe[0])
+                room.append(size - in_pipe[0] - message)
+            return send(conn, obj)
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(cli, "_pieces", slowed)
+        monkeypatch.setattr(Connection, "send", measured_send)
+        out = tmp_path / "out.csv"
+        cli._write_floats(str(out), "a,b,c,d", [chunk] * 12)
+        assert read_bytes(out) == b"a,b,c,d\n" + cli._chunk_text(chunk) * 12
+        assert max(queued) >= message  # a chunk was sent behind another
+        assert min(room) >= 0
+        assert multiprocessing.active_children() == []
+
+    def test_texts_longer_than_a_pipe_come_back(self, tmp_path, monkeypatch):
+        # each text is longer than the pipe it comes back through, so the
+        # worker sends it only as the parent reads it
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        chunk_text, enlarge = cli._chunk_text, cli._enlarge
+        parent = os.getpid()
+        sizes, own = [], []
+
+        def padded(fields):
+            if os.getpid() == parent:
+                own.append(1)
+            return chunk_text(fields) * 2**20
+
+        def measured_enlarge(conn, size):
+            enlarged = enlarge(conn, size)
+            sizes.append(fcntl.fcntl(conn, fcntl.F_GETPIPE_SZ)
+                         if hasattr(fcntl, "F_GETPIPE_SZ") else size)
+            return enlarged
+
+        monkeypatch.setattr(cli, "_chunk_text", padded)
+        monkeypatch.setattr(cli, "_enlarge", measured_enlarge)
+        chunks = [(array("d", [i]), array("d", [-i])) for i in range(3)]
+        out = tmp_path / "out.csv"
+        cli._write_floats(str(out), "x,y", chunks)
+        texts = [b"%d,%d\n" % (i, -i) * 2**20 for i in range(3)]
+        assert min(map(len, texts)) > max(sizes)
+        assert own == []  # the three chunks fit the worker's window
         assert read_bytes(out) == b"x,y\n" + b"".join(texts)
         assert multiprocessing.active_children() == []
 
@@ -768,10 +931,12 @@ class TestChunkBoundaries:
 class TestMemory:
     """Float output holds a few chunks and texts at a time, never the grid.
 
-    The parent holds the chunk being stepped and the text being written.
-    The chunks out and their texts, at most ``2k`` of each with enlarged
-    pipes and ``k`` without, wait in the workers and in the pipes' kernel
-    buffers, outside the traced heap and the parent's resident set.
+    The parent holds the chunk being stepped, the piece of text being
+    received or formatted, and at most two texts of its own waiting, in
+    pieces of ``CHUNK_ROWS // 8`` rows.  The chunks out and the workers'
+    texts, at most three a worker with enlarged pipes and one without,
+    wait in the ``k - 1`` workers and in the pipes' kernel buffers, outside
+    the traced heap and the parent's resident set.
 
     Holding the samples as Python floats, or the text of the whole file,
     would each add several MiB at these 69,000-row grids, and holding
