@@ -37,23 +37,22 @@ from lane_emden.exact import MAX_DEGREE
 from lane_emden.integrate import MAX_STEPS
 from lane_emden.series import MAX_ORDER
 
-GOLDEN_M6 = b"000;1\n002;-1/6\n004;n/120\n006;-n*(8*n - 5)/15120\n"
-INTEGRATE_N3_DX1E2_SHA256 = (
-    "8fc9e770aab2e2e713d6b74e116f608f59956df9feb36d2bcd2951926ce7d819"
-)
-INTEGRATE_N3_DX1E3_SHA256 = (
-    "07b6d081a85ef1d7f1c14e1da5de932ddadf9a20608f20fae40981092f73ec3d"
-)
-COMPARE_N3_M10_DX1E3_SHA256 = (
-    "400d978875c35ad216155469a3426df95b8a9e3f057048ac29989c6c33b80a2e"
-)
+import pinned
 
-# The float digests are the bytes of one C math library: the one libm call
-# on the float path is ``F**n`` in ``_kernels.midpoint_steps``, and they
-# were pinned with glibc 2.36.  Its ``pow`` is not correctly rounded: these
-# ``(F, F ** 3.0)`` pairs, as hex floats, are samples ``F`` of ``integrate
-# --n 3 --dx 1e-4`` whose cube glibc rounds to the other neighbour of the
-# exact value.  A libm that rounds them differently changes the digests.
+GOLDEN_M6 = b"000;1\n002;-1/6\n004;n/120\n006;-n*(8*n - 5)/15120\n"
+PINNED = pinned.load()
+
+
+def pinned_case(argv):
+    """``(argv as a list, its pinned digest)`` for a row of the table."""
+    return argv.split(), PINNED[argv]
+
+
+# The float digests of the table were taken with glibc 2.36 (see its
+# comments), whose ``pow`` is not correctly rounded: these ``(F, F ** 3.0)``
+# pairs, as hex floats, are samples ``F`` of ``integrate --n 3 --dx 1e-4``
+# whose cube glibc rounds to the other neighbour of the exact value.  A
+# libm that rounds them differently changes the digests.
 POW_FINGERPRINT = [
     ("0x1.fff8715a124b6p-1", "0x1.ffe95463e14d8p-1"),
     ("0x1.ff4e7b6d45decp-1", "0x1.fdec2ad75dffdp-1"),
@@ -256,46 +255,14 @@ class TestCompare:
 
 
 class TestOutputBytes:
-    """Whole-file digests of the float CSVs and the coefficient file.
-
-    The float digests are those of the row-at-a-time writer that preceded
-    the columnar one; the first two equal the benchmark's smoke-size
-    hashes.  The ``1e-3`` grids are longer than one ``CHUNK_ROWS`` chunk.
-    The ``coeffs`` digests are the benchmark's pinned ones at ``m = 10``
-    and ``m = 140``, where the series kernel interpolates polynomials of
-    degree up to 70.  The first ``eval`` digest is that of the file
-    ``eval`` wrote with its own ``open()``, before it used the shared
-    writer.  A CSV coefficient file and an ``eval`` at a rational index
-    with a denominator were pinned from the output of the
-    ``Fraction``-backed ``IndexPolynomial``.  The ``integrate`` case at
-    ``1e-4``, 17 chunks of ``CHUNK_ROWS`` rows written while the grid is
-    stepped, was pinned from the writer that formatted the rows only after
-    the run.  The last case is the benchmark's ``compare`` workload: four
-    columns over the same 17 chunks, with its pinned digest.
+    """Whole-file digests of the float CSVs, the coefficient files and
+    ``eval``'s file: every row of ``tests/pinned_outputs.txt``, whose
+    comments say where each digest was pinned from and on what platform.
     """
 
-    @pytest.mark.parametrize("argv, digest", [
-        (["integrate", "--n", "3", "--dx", "1e-2"], INTEGRATE_N3_DX1E2_SHA256),
-        (["compare", "--n", "3", "--m", "10", "--dx", "1e-2"],
-         "9ee1f5818bb42ca803e683a1ca95757ecdcc1833944285c733d104e1440e6dcd"),
-        (["integrate", "--n", "3", "--dx", "1e-3"], INTEGRATE_N3_DX1E3_SHA256),
-        (["compare", "--n", "3", "--m", "10", "--dx", "1e-3"],
-         COMPARE_N3_M10_DX1E3_SHA256),
-        (["coeffs", "--m", "10"],
-         "acdd8af764755db6c3a90103eb87e7d5bae445b413727331270c66ea86414ccc"),
-        (["coeffs", "--m", "140"],
-         "b3097ff2a90b724614e5404f54bd80d5fbe5eb7f284dd380e9e275ceaa4d7da3"),
-        (["eval", "--n", "3/2", "--m", "12"],
-         "043658d097d9b5f16155eeef96a9b94d1bc31361e835eb546c98f8c6a1f48854"),
-        (["coeffs", "--m", "28", "--format", "csv"],
-         "43ea0f1cc303a52acfc307abf39d828aa76b34ea876d19bd108118a8c9904fe3"),
-        (["eval", "--n", "7/3", "--m", "40"],
-         "c30f767f7bf290decdcc50c17dbc28c28cccefa493269c1638216645a57647cf"),
-        (["integrate", "--n", "3", "--dx", "1e-4"],
-         "f04ed54999523fdbf37f61006bfdcae7e19c76e8d5844702f8674c0894d3354c"),
-        (["compare", "--n", "3", "--m", "28", "--dx", "1e-4"],
-         "051e94386991a6cc60533c58bfa58c2abdbb1a41f5ab234e25ed2f93ba2a62dc"),
-    ])
+    @pytest.mark.parametrize(
+        "argv, digest", [pinned_case(argv) for argv in PINNED]
+    )
     def test_sha256(self, tmp_path, argv, digest):
         out = tmp_path / "out.csv"
         assert cli.main(argv + ["--out", str(out)]) == 0
@@ -396,9 +363,8 @@ class TestFormattingWorkers:
     """
 
     CASES = [
-        (["integrate", "--n", "3", "--dx", "1e-3"], INTEGRATE_N3_DX1E3_SHA256),
-        (["compare", "--n", "3", "--m", "10", "--dx", "1e-3"],
-         COMPARE_N3_M10_DX1E3_SHA256),
+        pinned_case("integrate --n 3 --dx 1e-3"),
+        pinned_case("compare --n 3 --m 10 --dx 1e-3"),
     ]
 
     @pytest.fixture
@@ -577,9 +543,7 @@ class TestFormattingWorkers:
         out = tmp_path / "c.txt"
         assert cli.main(["coeffs", "--m", "140", "--out", str(out)]) == 0
         digest = hashlib.sha256(read_bytes(out)).hexdigest()
-        assert digest == (
-            "b3097ff2a90b724614e5404f54bd80d5fbe5eb7f284dd380e9e275ceaa4d7da3"
-        )
+        assert digest == PINNED["coeffs --m 140"]
 
     def test_worker_error_surfaces(self, tmp_path, cpus, monkeypatch):
         # the worker sends its error, and the parent raises it
@@ -1441,7 +1405,7 @@ class TestColdStart:
         )
         assert loaded == "False"
         digest = hashlib.sha256(read_bytes(out)).hexdigest()
-        assert digest == INTEGRATE_N3_DX1E2_SHA256
+        assert digest == PINNED["integrate --n 3 --dx 1e-2"]
 
     def test_compare_loads_numpy(self, child_env, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -1452,4 +1416,4 @@ class TestColdStart:
         )
         assert loaded == "True"
         digest = hashlib.sha256(read_bytes(out)).hexdigest()
-        assert digest == COMPARE_N3_M10_DX1E3_SHA256
+        assert digest == PINNED["compare --n 3 --m 10 --dx 1e-3"]
