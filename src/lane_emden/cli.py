@@ -10,19 +10,19 @@ bench       time the coefficient engine for growing table sizes (CSV)
 
 Exit codes: 0 on success, 2 for usage errors, 1 for I/O errors.  All CSV
 output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
-and floats at 17 significant digits (round-trip precision).  The rows of
-the float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a
-time from the stepped grid, through :func:`_write_floats`, the one place
-that decides whether to fork and runs the workers: on ``k`` usable CPUs,
-``k - 1`` forked workers and the process itself format the chunks while
-the next one is stepped.  Where its pipes can be enlarged (Linux), a
-worker may have two chunks queued; elsewhere it has one at a time.  With
-one CPU, a single chunk, no ``fork`` or another thread running, the
-process formats every chunk itself, to the same bytes.  Output is
-byte-identical for a given CPython and C math library: the one libm call
-on the float path is ``F**n`` in ``_kernels.midpoint_steps``, and the
-pinned digests come from glibc's ``pow`` (2.36; CI runs on ubuntu-latest
-only).
+and floats at 17 significant digits (round-trip precision).  The rows of the
+float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a time
+from the stepped grid, through :func:`_write_floats`, the one place that
+decides whether to fork and runs the workers: on ``k`` usable CPUs,
+``k - 1`` forked workers and the process itself format the chunks while the
+next one is stepped.  One window, workers only on Linux: a worker may have
+``WINDOW`` chunks out, and starts only where its pipes can be enlarged to
+hold them.  With one CPU, a single chunk, another thread running or pipes
+that cannot be enlarged, the process formats every chunk itself, to the same
+bytes.  Output is byte-identical for a given CPython and C math library: the
+one libm call on the float path is ``F**n`` in ``_kernels.midpoint_steps``,
+and the pinned digests come from glibc's ``pow`` (2.36; CI runs on
+ubuntu-latest only).
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ IO_ERROR = 1
 # Most repetitions ``bench --reps`` may ask for: one at ``MAX_ORDER``
 # takes about 10 s, and the best of a few already drops scheduler noise.
 MAX_REPS = 100
+
+# Chunks a formatting worker may have out: one in progress, two queued
+WINDOW = 3
 
 
 def _fmt(value: float) -> str:
@@ -157,7 +160,7 @@ def cmd_bench(m_max: int, step: int, reps: int, out_path: str) -> None:
 def _write_lines(out_path: str, lines: list[str]) -> None:
     """Write each of the (one or more) ``lines`` ending in ``\\n``.
 
-    The lines are those of a coefficient or timing table, at most 201 of
+    The lines are those of a coefficient or timing table, at most 202 of
     them, so they are joined and written at once.
     """
     with open(out_path, "w", encoding="ascii", newline="") as fh:
@@ -181,40 +184,36 @@ def _write_floats(
     its start, the seed's among them, on the first, and truncating an old
     file overlaps the workers' formatting.
 
-    Given a second chunk, ``k >= 2`` usable CPUs, the ``fork`` start
-    method and no other thread running, ``k - 1`` workers are forked, each
-    with a pipe for its chunks and one for its texts.  A chunk goes to the
-    worker with the fewest out if that one has fewer than ``W`` out, and is
-    formatted here otherwise.  ``W`` is 3 where every pipe could be
-    enlarged (``F_SETPIPE_SZ``, on Linux): a chunk in progress and two
-    queued while this process formats one and steps the next; else 1.  The
-    texts are written in order: before each chunk is handed on, those
-    ready at the head, and with two of this process's own waiting and every
-    worker full, the oldest worker text is waited for.  A chunk goes to its
-    worker as one pickled message; every text is formatted in the pieces
-    of :func:`_pieces`, which a worker sends back one message each, then
-    an empty one.  However the writing ends, the workers are stopped and
-    joined, and every connection closed.
+    Given a second chunk, ``k >= 2`` usable CPUs and no other thread running,
+    up to ``k - 1`` workers are forked, each with a pipe for its chunks and one
+    for its texts.  One window, workers only on Linux: a worker is forked only
+    once both its pipes hold ``WINDOW`` chunks out (``F_SETPIPE_SZ``), and the
+    first whose pipes cannot ends the forking.  A chunk goes to the worker with
+    the fewest out if it has fewer than ``WINDOW``, and is formatted here
+    otherwise.  The texts are written in order: before each chunk is handed on,
+    those ready at the head, and with two of this process's own waiting and
+    every worker full, the oldest worker text is waited for.  A chunk goes to
+    its worker as one pickled message; every text is formatted in the pieces of
+    :func:`_pieces`, which a worker sends back one message each, then an empty
+    one.  However the writing ends, the workers are stopped and joined, and
+    every connection closed.
     """
     chunks = iter(chunks)
     ahead = list(itertools.islice(chunks, 2))
     k = _usable_cpus() if len(ahead) == 2 else 1
     if k >= 2:
-        import multiprocessing
         import threading
 
         # fork copies only the calling thread, and a lock another thread
         # holds stays locked in the child, so only a single thread forks
-        if (threading.active_count() > 1
-                or "fork" not in multiprocessing.get_all_start_methods()):
+        if threading.active_count() > 1:
             k = 1
     procs, conns, feeds, texts, out = [], [], [], [], []  # out: chunks out
-    window = 3
     pending = deque()  # in output order: own pieces, or a worker index
 
     def hand_on(chunk):
-        fewest = min(out, default=window)
-        if fewest < window:
+        fewest = min(out, default=WINDOW)
+        if fewest < WINDOW:
             j = out.index(fewest)
             try:
                 feeds[j].send(chunk)
@@ -230,7 +229,7 @@ def _write_floats(
             j = pending[0]
             if type(j) is list:
                 fh.writelines(j)
-            elif (wait or texts[j].poll() or min(out) == window
+            elif (wait or texts[j].poll() or min(out) == WINDOW
                     and sum(type(e) is list for e in pending) == 2):
                 while text := texts[j].recv():  # b"" ends a text
                     if isinstance(text, Exception):  # the worker's error
@@ -243,25 +242,28 @@ def _write_floats(
 
     try:
         if k >= 2:
+            import multiprocessing
             # No pool: it would receive the texts on a thread of its own,
             # whose heap kept several MB resident after each run.
             context = multiprocessing.get_context("fork")
             # Room for two texts, at most 25 bytes a field (a .17g field
             # has at most 24 characters, then its comma or newline), and
             # less than four pages more for their framing and the pages
-            # they share.  Three chunks, at 8 bytes a field, fit in it, so
-            # a send to a worker with fewer than W = 3 out never waits.
+            # they share.  WINDOW = 3 chunks, at 8 bytes a field, fit in it,
+            # so a send to a worker with fewer than WINDOW out never waits.
             pipe_bytes = 2 * (len(ahead[0]) * CHUNK_ROWS * 25
                               + 4 * os.sysconf("SC_PAGESIZE"))
         for _ in range(k - 1):
-            chunks_in, feed = context.Pipe(duplex=False)
-            text_end, texts_out = context.Pipe(duplex=False)
-            conns += [chunks_in, feed, text_end, texts_out]
+            ends = context.Pipe(duplex=False) + context.Pipe(duplex=False)
+            chunks_in, feed, text_end, texts_out = ends
             # in smaller pipes, this process could wait to send a chunk to
-            # a worker that waits to send it a text
+            # a worker that waits to send it a text: none is forked there
             if not (_enlarge(feed, pipe_bytes)
                     and _enlarge(text_end, pipe_bytes)):
-                window = 1
+                for conn in ends:
+                    conn.close()
+                break
+            conns += ends
             proc = context.Process(target=_format_chunks,
                                    args=(chunks_in, texts_out))
             proc.start()
@@ -301,11 +303,9 @@ def _chunk_text(fields: Sequence[Sequence[float]]) -> bytes:
 
 
 def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not offered on every platform
-        return os.cpu_count() or 1
+    """The CPUs this process may run on; 1 off Linux, where no worker runs."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else 1
 
 
 def _pieces(fields: Sequence[Sequence[float]]) -> list[bytes]:

@@ -60,7 +60,8 @@ def check(rows, command, env=None):
     """Run ``command + argv.split() + ["--out", file]`` for each of
     ``rows`` (``{argv: digest}``), with environment ``env`` (``None``
     inherits this one).  Returns ``{argv: problem}`` for the rows whose
-    output's digest differs or whose exit code is not 0."""
+    exit code is not 0, that write no output, or whose output's digest
+    differs."""
     failed = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
@@ -73,6 +74,8 @@ def check(rows, command, env=None):
             )
             if proc.returncode != 0:
                 failed[argv] = f"exit {proc.returncode}: {proc.stderr.strip()}"
+            elif not out.exists():
+                failed[argv] = "no output file"
             elif (got := _file_sha256(out)) != digest:
                 failed[argv] = f"sha256 {got}"
     return failed

@@ -295,9 +295,9 @@ EDGE_VALUES = [
     0.1, -2.0 / 3.0, 1.0, -1.0,
 ]
 
-# How a chunk's columns reach ``_chunk_text``: ``integrate``'s arrays,
-# ``compare``'s ndarrays, and the float64 views a worker makes of the
-# bytes it receives.
+# Columns ``_chunk_text`` takes: ``integrate``'s arrays, ``compare``'s
+# ndarrays (both reach a worker pickled, as the same types), and a float64
+# view of raw bytes, a buffer that no caller passes but that formats alike.
 COLUMN_KINDS = {
     "array": lambda vals: array("d", vals),
     "ndarray": np.array,
@@ -394,11 +394,11 @@ class TestFormattingWorkers:
         cpus(2)
         assert self.run(tmp_path, argv) == digest
 
-    def share(self, tmp_path, monkeypatch, count, slow):
-        """How the parent shared a pinned ``integrate`` run on ``count``
-        CPUs, each worker sleeping ``slow`` seconds before each chunk: the
-        most chunks it had out at once, the most of its own texts waiting,
-        and the number of chunks it formatted itself."""
+    def share(self, tmp_path, monkeypatch, workers, slow):
+        """How the parent shared a pinned ``integrate`` run with the
+        ``workers`` it forked, each sleeping ``slow`` seconds before each
+        chunk: the most chunks it had out at once, the most of its own
+        texts waiting, and the number of chunks it formatted itself."""
         # the parent's chunks in order, "w" sent to a worker and "p"
         # formatted itself, and the worker texts it received
         alive, forked, order, received = [], [], [], [0]
@@ -454,8 +454,8 @@ class TestFormattingWorkers:
         argv, digest = self.CASES[0]
         assert self.run(tmp_path, argv) == digest
         # every worker formats while the grid is still being stepped
-        assert max(alive) == count - 1
-        assert len(forked) == count - 1
+        assert max(alive) == workers
+        assert len(forked) == workers
         assert len(order) == 173  # 6,897 rows, 40 a chunk
         assert order.count("w") == received[0]
         return most["out"], most["own"], order.count("p")
@@ -468,24 +468,47 @@ class TestFormattingWorkers:
         self, tmp_path, cpus, monkeypatch, count
     ):
         cpus(count)
-        out, _, _ = self.share(tmp_path, monkeypatch, count, slow=0.002)
+        out, _, _ = self.share(tmp_path, monkeypatch, count - 1, slow=0.002)
         assert out == 3 * (count - 1)
 
+    @staticmethod
+    def refuse_enlarging(monkeypatch, allowed):
+        """Make every ``F_SETPIPE_SZ`` after the first ``allowed`` fail, as
+        past ``fs.pipe-max-size`` or the user's pipe quota."""
+        calls, fcntl_call = [], fcntl.fcntl
+
+        def refuse(fd, cmd, *args):
+            if cmd == fcntl.F_SETPIPE_SZ:
+                calls.append(fd)
+                if len(calls) > allowed:
+                    raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+            return fcntl_call(fd, cmd, *args)
+
+        monkeypatch.setattr(fcntl, "fcntl", refuse)
+
+    # A worker starts only where both its pipes hold the window: in smaller
+    # ones the parent formats every chunk, to the same bytes.
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("pipes", ["refused", "not_linux"])
-    def test_pipes_not_enlarged_keep_k_chunks_out(
+    def test_pipes_not_enlarged_start_no_worker(
         self, tmp_path, cpus, monkeypatch, count, pipes
     ):
         if pipes == "refused":
-            def refuse(*args):
-                raise OSError(errno.EPERM, os.strerror(errno.EPERM))
-
-            monkeypatch.setattr(fcntl, "fcntl", refuse)
+            self.refuse_enlarging(monkeypatch, 0)
         else:
             monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
         cpus(count)
-        out, _, _ = self.share(tmp_path, monkeypatch, count, slow=0.002)
-        assert out == count - 1  # one chunk a worker, in lockstep
+        out, _, own = self.share(tmp_path, monkeypatch, 0, slow=0.002)
+        assert out == 0 and own == 173
+
+    def test_refused_second_worker_leaves_the_first_its_window(
+        self, tmp_path, cpus, monkeypatch
+    ):
+        # the first worker's two pipes are enlarged, the second's refused
+        self.refuse_enlarging(monkeypatch, 2)
+        cpus(3)
+        out, _, _ = self.share(tmp_path, monkeypatch, 1, slow=0.002)
+        assert out == 3
 
     def test_parent_and_worker_share_the_chunks(
         self, tmp_path, cpus, monkeypatch
@@ -494,7 +517,7 @@ class TestFormattingWorkers:
         # one worker kept up with the stepping in a few runs of 200, and
         # the parent formatted nothing.
         cpus(2)
-        _, _, own = self.share(tmp_path, monkeypatch, 2, slow=0.001)
+        _, _, own = self.share(tmp_path, monkeypatch, 1, slow=0.001)
         assert 1 <= own < 173
 
     @pytest.mark.parametrize("count", [2, 3])
@@ -504,7 +527,7 @@ class TestFormattingWorkers:
         # with every worker full and two of its own texts waiting, the
         # parent waits for the oldest worker text before it formats more
         cpus(count)
-        _, own_waiting, _ = self.share(tmp_path, monkeypatch, count,
+        _, own_waiting, _ = self.share(tmp_path, monkeypatch, count - 1,
                                        slow=0.002)
         assert own_waiting == 2
 
@@ -515,13 +538,12 @@ class TestFormattingWorkers:
         cpus(1)
         assert self.run(tmp_path, argv) == digest
 
-    def test_no_fork_formats_in_process(
+    def test_no_affinity_formats_in_process(
         self, tmp_path, cpus, no_workers, monkeypatch
     ):
-        cpus(2)
-        monkeypatch.setattr(
-            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
+        # without os.sched_getaffinity (not Linux), one CPU is counted
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._usable_cpus() == 1
         argv, digest = self.CASES[0]
         assert self.run(tmp_path, argv) == digest
 
@@ -578,9 +600,9 @@ class TestFormattingWorkers:
             cli.main(argv + ["--out", str(tmp_path / "out.csv")])
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("fails", [False, True], ids=["run", "error"])
+    @pytest.mark.parametrize("case", ["run", "error", "refused"])
     def test_every_connection_is_closed(
-        self, tmp_path, cpus, monkeypatch, fails
+        self, tmp_path, cpus, monkeypatch, case
     ):
         # a leaked Connection raises no ResourceWarning, so the CLI tests in
         # development mode cannot catch a dropped close
@@ -600,11 +622,13 @@ class TestFormattingWorkers:
         monkeypatch.setattr(type(context), "Pipe",
                             staticmethod(recorded_pipe))
         argv, digest = self.CASES[0]
-        if fails:
+        if case == "error":
             monkeypatch.setattr(cli, "_chunk_text", fail)
             with pytest.raises(LookupError):
                 self.run(tmp_path, argv)
         else:
+            if case == "refused":  # the one worker's pipes: it never starts
+                self.refuse_enlarging(monkeypatch, 0)
             assert self.run(tmp_path, argv) == digest
         assert conns and all(conn.closed for conn in conns)
 
@@ -847,8 +871,7 @@ class TestChunkBoundaries:
 
         def measured_enlarge(conn, size):
             enlarged = enlarge(conn, size)
-            sizes.append(fcntl.fcntl(conn, fcntl.F_GETPIPE_SZ)
-                         if hasattr(fcntl, "F_GETPIPE_SZ") else size)
+            sizes.append(fcntl.fcntl(conn, fcntl.F_GETPIPE_SZ))
             return enlarged
 
         monkeypatch.setattr(cli, "_chunk_text", padded)
@@ -898,7 +921,7 @@ class TestMemory:
     The parent holds the chunk being stepped, the piece of text being
     received or formatted, and at most two texts of its own waiting, in
     pieces of ``CHUNK_ROWS // 8`` rows.  The chunks out and the workers'
-    texts, at most three a worker with enlarged pipes and one without,
+    texts, at most three a worker (one window, workers only on Linux),
     wait in the ``k - 1`` workers and in the pipes' kernel buffers, outside
     the traced heap and the parent's resident set.
 

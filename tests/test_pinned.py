@@ -68,6 +68,11 @@ class TestCheck:
         assert list(failed) == ["coeffs --m -1"]
         assert failed["coeffs --m -1"].startswith("exit 2: usage:")
 
+    def test_a_missing_output_fails_its_row_and_the_rest_run(self):
+        # each row exits 0 but writes no --out file
+        failed = pinned.check(self.rows(), [sys.executable, "-c", "pass"])
+        assert failed == {argv: "no output file" for argv in FAST}
+
 
 class TestLoad:
     DIGEST = "0123456789abcdef" * 4
