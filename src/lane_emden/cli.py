@@ -44,7 +44,8 @@ from .integrate import (
     _check_index,
     _midpoint_run,
 )
-from .series import MAX_ORDER, compute_coefficients, evaluate_table
+from .series import GROWTH_EXP, MAX_ORDER
+from .series import compute_coefficients, evaluate_table
 
 USAGE_ERROR = 2
 IO_ERROR = 1
@@ -142,6 +143,18 @@ def run_bench(m_max: int, step: int, reps: int) -> list[tuple[int, float]]:
         (m, min(_time_once(m) for _ in range(reps)))
         for m in range(step, m_max + 1, step)
     ]
+
+
+def _bench_work(m_max: int, step: int, reps: int) -> float:
+    """Predicted work of ``run_bench``, in tables of order ``MAX_ORDER``."""
+    sizes = range(step, m_max + 1, step)
+    return reps * sum((m / MAX_ORDER) ** GROWTH_EXP for m in sizes)
+
+
+# Most work ``bench`` may ask for: its default run (--step 10, --reps 3)
+# at --mmax MAX_ORDER, about 20.3 tables, so every run the defaults allow
+# stays allowed.
+BENCH_BUDGET = _bench_work(MAX_ORDER, 10, 3)
 
 
 def _time_once(m: int) -> float:
@@ -479,6 +492,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "bench":
             if args.step > args.mmax:
                 args.error("argument --step: must not exceed --mmax")
+            work = _bench_work(args.mmax, args.step, args.reps)
+            if work > BENCH_BUDGET:
+                args.error(
+                    "arguments --mmax, --step, --reps: predicted work of"
+                    f" {work:.1f} tables of order {MAX_ORDER} is over the"
+                    f" budget of {BENCH_BUDGET:.1f}"
+                )
             cmd_bench(args.mmax, args.step, args.reps, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,14 @@ coefficients.
 
 The tokens come from one regex pass.  Every intermediate value is a sparse
 ``(terms, den)`` pair of :mod:`lane_emden.exact`, whose ``_sum``,
-``_product`` and ``_power`` do the arithmetic without reducing, so a term
-``c*n**e`` costs a few dict entries and no gcd.  Only a base about to be
-raised to a power is reduced first, and the result is reduced once, at
-the end, so a canonical string costs work near linear in its length.
+``_product`` and ``_power`` do the arithmetic without reducing.  A
+canonical term ``c*n**e`` takes two ``factor`` calls and one dict entry:
+``n**INT`` is read in place, without a call for the exponent or
+``_power``, and a monomial times a monomial without ``_product``; every
+other form, and each of these at a bound, takes the general path.  Only
+a base about to be raised to a power is reduced first, and the result is
+reduced once, at the end, so a canonical string costs work near linear
+in its length.
 Token positions are worked out only to report an error.  An expression
 over the bounds below, or a power over those of :mod:`lane_emden.exact`,
 raises :class:`ExpressionError` with its position before the work is done.
@@ -95,6 +99,12 @@ class _Parser:
             self.i += 1
             rhs, rden = self.factor()
             if op == "*":
+                if len(terms) == 1 == len(rhs):
+                    # a monomial times a monomial, as in c*n**e
+                    ((i, x),), ((j, y),) = terms.items(), rhs.items()
+                    if i + j <= MAX_DEGREE:
+                        terms, den = {i + j: x * y}, den * rden
+                        continue
                 # a zero factor cannot take the sum over the bound
                 if terms and rhs and max(terms) + max(rhs) > MAX_DEGREE:
                     self.error(f"degree above {MAX_DEGREE}", at)
@@ -123,6 +133,16 @@ class _Parser:
         token = tokens[at]
         self.i = at + 1
         if token == "n":
+            # n**INT, as in c*n**e, without the exponent's factor call or
+            # _power.  Any other exponent, and one past a bound (its depth
+            # step included), takes the general path and its errors.
+            e = tokens[at + 2] if tokens[at + 1] == "**" else None
+            if (e and e.isdigit() and tokens[at + 3] != "**"
+                    and self.depth < MAX_DEPTH and len(e) <= MAX_LITERAL_DIGITS
+                    and (degree := int(e)) <= MAX_DEGREE):
+                self.i = at + 3
+                self.depth -= 1
+                return {degree: 1}, 1
             terms, den = {1: 1}, 1
         elif token == "(":
             terms, den = self.expr()

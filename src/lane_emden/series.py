@@ -31,11 +31,13 @@ from .exact import CoeffLike, IndexPolynomial
 
 # Largest table order, checked by ``compute_coefficients`` and by the
 # types of every ``--m`` and ``bench --mmax``.  The kernel's time grows
-# about as m**5.4 here, to about 10 s at m = 400 on a 2-vCPU machine.
+# about as m**GROWTH_EXP here, to about 10 s at m = 400 on a 2-vCPU
+# machine; ``bench`` predicts its work by that power.
 # ``a[k]`` has degree k/2 - 1 in n, so the widest table printed has degree
 # 199, far below ``exact.MAX_DEGREE`` = 1000, which a table would reach
 # only past k = 2000: every printed table parses back.
 MAX_ORDER = 400
+GROWTH_EXP = 5.4
 
 # Largest integer index q of the brute-force oracles, checked before any
 # work.  Their power takes time about as q**2 * m**4 for a table of order

@@ -1007,6 +1007,51 @@ class TestBench:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, work", [
+        (["--mmax", "400", "--step", "2", "--reps", "1"], "31.8"),
+        (["--mmax", "400", "--reps", "100"], "676.1"),
+    ])
+    def test_work_over_the_budget_builds_nothing(
+        self, argv, work, monkeypatch, capsys, tmp_path
+    ):
+        # each argument alone is in range; the product would take hours
+        def build(m):
+            raise AssertionError(f"built m = {m}")
+
+        monkeypatch.setattr(cli, "compute_coefficients", build)
+        out = tmp_path / "unused.csv"
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", *argv, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == cli.USAGE_ERROR
+        err = capsys.readouterr().err
+        assert ("lane-emden bench: error: arguments --mmax, --step, --reps:"
+                f" predicted work of {work} tables of order {MAX_ORDER} is"
+                " over the budget of 20.3") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_default_run_at_the_largest_order_is_within_the_budget(
+        self, monkeypatch, tmp_path
+    ):
+        runs = []
+        monkeypatch.setattr(cli, "cmd_bench", lambda *args: runs.append(args))
+        out = str(tmp_path / "unused.csv")
+        assert cli.main(["bench", "--mmax", str(MAX_ORDER), "--out", out]) == 0
+        assert runs == [(MAX_ORDER, 10, 3, out)]
+        with pytest.raises(SystemExit):
+            cli.main(["bench", "--mmax", str(MAX_ORDER), "--reps", "4",
+                      "--out", out])
+        assert len(runs) == 1
+
+    def test_readme_example_runs(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert cli.main(["bench", "--mmax", "140", "--step", "20", "--reps",
+                         "3", "--out", str(out)]) == 0
+        ms = [int(line.split(",")[0]) for line in read_lines(out)[1:]]
+        assert ms == list(range(20, 141, 20))
+
     @pytest.mark.parametrize("mmax", ["0", "1"])
     def test_mmax_below_two_names_mmax(self, mmax, capsys, tmp_path):
         # no table of fewer than two entries can be timed, even with

@@ -165,6 +165,10 @@ class TestErrors:
         ("n +", "unexpected end of expression at end of input"),
         ("(", "unexpected end of expression at end of input"),
         ("n**", "unexpected end of expression at end of input"),
+        (f"n**{MAX_DEGREE + 1}", f"degree above {MAX_DEGREE} at position 1"),
+        ("n**" + "0" * MAX_LITERAL_DIGITS + "2",
+         f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
+         " at position 3"),
         ("-", "unexpected end of expression at end of input"),
         ("n*(n - ", "unexpected end of expression at end of input"),
         ("", "empty expression"),
@@ -322,6 +326,7 @@ class TestBounds:
         ("(" * 200 + "n" + ")" * 200, MAX_DEPTH),
         ("-" * 1000 + "n", MAX_DEPTH),
         ("n**" * 2000 + "1", 3 * MAX_DEPTH),
+        ("(" * 99 + "n**2" + ")" * 99, 102),
     ])
     def test_nesting_depth(self, text, pos):
         with pytest.raises(ExpressionError) as exc:
@@ -422,6 +427,13 @@ class TestPower:
         ("(n - n)**0", 1),
         ("(-2/3)**3", Fraction(-8, 27)),
         ("(2*n)**3", IndexPolynomial((0, 0, 0, 8))),
+        (f"n**{MAX_DEGREE}", N**MAX_DEGREE),
+        ("n**2**3", N**8),
+        ("n**02", N**2),
+        ("n**" + "0" * (MAX_LITERAL_DIGITS - 1) + "2", N**2),
+        ("(" * 98 + "n**2" + ")" * 98, N**2),
+        ("2*n**3*n**4", 2 * N**7),
+        ("(n + 1)**2*n**3", IndexPolynomial((0, 0, 0, 1, 2, 1))),
     ])
     def test_edge_cases(self, text, want):
         assert parse_expression(text) == want
