@@ -20,9 +20,10 @@ next one is stepped.  One window, workers only on Linux: a worker may have
 hold them.  With one CPU, a single chunk, another thread running or pipes
 that cannot be enlarged, the process formats every chunk itself, to the same
 bytes.  Output is byte-identical for a given CPython and C math library: the
-one libm call on the float path is ``F**n`` in ``_kernels.midpoint_steps``,
-and the pinned digests come from glibc's ``pow`` (2.36; CI runs on
-ubuntu-latest only).
+one libm call on the float path is ``F**n`` in ``_kernels.midpoint_steps``.
+The pinned digests are the bytes of a correctly rounded integer power on
+their grids.  glibc 2.36's ``pow``, which misrounds a cube rarely, gives the
+same bytes; a ``pow`` that is one ulp off on every call does not.
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ from .integrate import (
     _check_index,
     _midpoint_run,
 )
-from .series import GROWTH_EXP, MAX_ORDER
-from .series import compute_coefficients, evaluate_table
+from .series import MAX_ORDER, compute_coefficients, evaluate_table
 
 USAGE_ERROR = 2
 IO_ERROR = 1
 
-# Most repetitions ``bench --reps`` may ask for: one at ``MAX_ORDER``
-# takes about 10 s, and the best of a few already drops scheduler noise.
+# Most repetitions ``bench --reps`` may ask for: the best of a few already
+# drops scheduler noise.
 MAX_REPS = 100
 
 # Chunks a formatting worker may have out: one in progress, two queued
@@ -146,13 +146,19 @@ def run_bench(m_max: int, step: int, reps: int) -> list[tuple[int, float]]:
 
 
 def _bench_work(m_max: int, step: int, reps: int) -> float:
-    """Predicted work of ``run_bench``, in tables of order ``MAX_ORDER``."""
+    """Predicted work of ``run_bench``, in tables of order ``MAX_ORDER``.
+
+    A table of order m is the first m steps of one of order ``MAX_ORDER``:
+    about m**3 / 48 of its big-integer products (``_kernels``), and the
+    smallest, so ``(m / MAX_ORDER)**3`` bounds its share of that table's
+    time.
+    """
     sizes = range(step, m_max + 1, step)
-    return reps * sum((m / MAX_ORDER) ** GROWTH_EXP for m in sizes)
+    return reps * sum((m / MAX_ORDER) ** 3 for m in sizes)
 
 
 # Most work ``bench`` may ask for: its default run (--step 10, --reps 3)
-# at --mmax MAX_ORDER, about 20.3 tables, so every run the defaults allow
+# at --mmax MAX_ORDER, about 31.5 tables, so every run the defaults allow
 # stays allowed.
 BENCH_BUDGET = _bench_work(MAX_ORDER, 10, 3)
 

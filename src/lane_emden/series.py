@@ -30,19 +30,17 @@ from . import _kernels
 from .exact import CoeffLike, IndexPolynomial
 
 # Largest table order, checked by ``compute_coefficients`` and by the
-# types of every ``--m`` and ``bench --mmax``.  The kernel's time grows
-# about as m**GROWTH_EXP here, to about 10 s at m = 400 on a 2-vCPU
-# machine; ``bench`` predicts its work by that power.
+# types of every ``--m`` and ``bench --mmax``: a table of this order takes
+# seconds to build.
 # ``a[k]`` has degree k/2 - 1 in n, so the widest table printed has degree
 # 199, far below ``exact.MAX_DEGREE`` = 1000, which a table would reach
 # only past k = 2000: every printed table parses back.
 MAX_ORDER = 400
-GROWTH_EXP = 5.4
 
 # Largest integer index q of the brute-force oracles, checked before any
 # work.  Their power takes time about as q**2 * m**4 for a table of order
-# m: at q = 10, 0.16 s at m = 140 and 18 s at MAX_ORDER, whose table
-# took 10 s to build (2-vCPU machine).
+# m: at q = 10, 0.09 s at m = 140 and 12 s at MAX_ORDER, about twice the
+# time to build that table (2-vCPU machine).
 MAX_ORACLE_INDEX = 10
 
 

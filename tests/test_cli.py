@@ -1,15 +1,22 @@
 """Command line interface: formats, determinism, exit codes."""
 
+import ast
+import contextlib
 import errno
 import fcntl
 import hashlib
+import inspect
+import io
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import termios
+import textwrap
 import threading
 import time
 import tracemalloc
@@ -20,7 +27,7 @@ from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane_emden import (
@@ -51,8 +58,10 @@ def pinned_case(argv):
 # The float digests of the table were taken with glibc 2.36 (see its
 # comments), whose ``pow`` is not correctly rounded: these ``(F, F ** 3.0)``
 # pairs, as hex floats, are samples ``F`` of ``integrate --n 3 --dx 1e-4``
-# whose cube glibc rounds to the other neighbour of the exact value.  A
-# libm that rounds them differently changes the digests.
+# whose cube glibc rounds to the other neighbour of the exact value.  The
+# digests are also those of a correctly rounded cube
+# (``TestOutputBytes.test_sha256_of_exact_powers``), so these misroundings
+# change no byte of them.
 POW_FINGERPRINT = [
     ("0x1.fff8715a124b6p-1", "0x1.ffe95463e14d8p-1"),
     ("0x1.ff4e7b6d45decp-1", "0x1.fdec2ad75dffdp-1"),
@@ -61,14 +70,48 @@ POW_FINGERPRINT = [
 ]
 
 
+def exact_power(base, n):
+    """``base ** n`` rounded once from its exact value, for an integral
+    float ``n >= 0``: ints divided by ``/`` round correctly."""
+    num, den = base.as_integer_ratio()
+    return num ** int(n) / den ** int(n)
+
+
 def pow_note():
-    """Whether this libm's ``pow`` matches :data:`POW_FINGERPRINT`, for the
-    failure message of a float digest."""
-    cubes = [float.fromhex(base) ** 3.0 for base, _ in POW_FINGERPRINT]
+    """Which of three cases this libm's ``pow`` is in at the bases of
+    :data:`POW_FINGERPRINT`, for the failure message of a float digest."""
+    bases = [float.fromhex(base) for base, _ in POW_FINGERPRINT]
+    cubes = [base ** 3.0 for base in bases]
     if cubes == [float.fromhex(cube) for _, cube in POW_FINGERPRINT]:
         return "this libm's pow matches the glibc 2.36 fingerprint"
-    return ("this libm's pow differs from the glibc 2.36 fingerprint the "
-            "float digests were pinned with: the likely cause")
+    if cubes == [exact_power(base, 3.0) for base in bases]:
+        return ("this libm's pow is correctly rounded at the glibc 2.36 "
+                "fingerprint's bases")
+    return ("this libm's pow neither matches the glibc 2.36 fingerprint nor "
+            "rounds its bases' cubes correctly: the likely cause")
+
+
+class _ExactPowers(ast.NodeTransformer):
+    """Turns every ``a ** b`` into ``exact_power(a, b)``."""
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.Call(ast.Name("exact_power", ast.Load()),
+                        [node.left, node.right], [])
+
+
+def steps_with_exact_powers():
+    """``_kernels.midpoint_steps``, compiled from its source with each
+    ``**`` computed by :func:`exact_power`, and how many ``**`` it had."""
+    source = textwrap.dedent(inspect.getsource(_kernels.midpoint_steps))
+    tree = ast.parse(source)
+    pows = sum(isinstance(node, ast.Pow) for node in ast.walk(tree))
+    tree = ast.fix_missing_locations(_ExactPowers().visit(tree))
+    namespace = dict(vars(_kernels), exact_power=exact_power)
+    exec(compile(tree, _kernels.__file__, "exec"), namespace)
+    return namespace["midpoint_steps"], pows
 
 
 @pytest.fixture(autouse=True)
@@ -269,6 +312,24 @@ class TestOutputBytes:
         float_csv = argv[0] in ("integrate", "compare")
         got = hashlib.sha256(read_bytes(out)).hexdigest()
         assert got == digest, pow_note() if float_csv else ""
+
+    @pytest.mark.parametrize("argv, digest", [
+        pinned_case(argv) for argv in PINNED
+        if argv.split()[0] in ("integrate", "compare")
+        and "--dx 1e-5" not in argv
+    ])
+    def test_sha256_of_exact_powers(self, monkeypatch, tmp_path, argv,
+                                    digest):
+        # The float rows hold with the libm's pow replaced by a correctly
+        # rounded power, so they pin that arithmetic, not one libm.  The
+        # dx = 1e-5 row, 1.4 million powers at about 1 us each, is left out
+        # to keep the suite fast.
+        steps, pows = steps_with_exact_powers()
+        assert pows == 2  # F**n and F_half**n: the loop's only libm calls
+        monkeypatch.setattr(_kernels, "midpoint_steps", steps)
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(read_bytes(out)).hexdigest() == digest
 
     @pytest.mark.parametrize("base, cube", POW_FINGERPRINT)
     def test_pow_fingerprint(self, base, cube):
@@ -1008,13 +1069,17 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, work", [
-        (["--mmax", "400", "--step", "2", "--reps", "1"], "31.8"),
-        (["--mmax", "400", "--reps", "100"], "676.1"),
+        (["--mmax", "400", "--step", "2", "--reps", "1"], "50.5"),
+        (["--mmax", "400", "--reps", "100"], "1050.6"),
+        # about 340 s, estimated from the measured times of its tables
+        (["--mmax", "182", "--step", "2", "--reps", "96"], "210.3"),
+        (["--mmax", "400", "--step", "400", "--reps", "32"], "32.0"),
     ])
     def test_work_over_the_budget_builds_nothing(
         self, argv, work, monkeypatch, capsys, tmp_path
     ):
-        # each argument alone is in range; the product would take hours
+        # each argument alone is in range; the product would take minutes
+        # to hours
         def build(m):
             raise AssertionError(f"built m = {m}")
 
@@ -1028,7 +1093,7 @@ class TestBench:
         err = capsys.readouterr().err
         assert ("lane-emden bench: error: arguments --mmax, --step, --reps:"
                 f" predicted work of {work} tables of order {MAX_ORDER} is"
-                " over the budget of 20.3") in err
+                " over the budget of 31.5") in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1044,6 +1109,10 @@ class TestBench:
             cli.main(["bench", "--mmax", str(MAX_ORDER), "--reps", "4",
                       "--out", out])
         assert len(runs) == 1
+        # the most tables of the largest order the budget allows
+        assert cli.main(["bench", "--mmax", str(MAX_ORDER), "--step",
+                         str(MAX_ORDER), "--reps", "31", "--out", out]) == 0
+        assert runs[1:] == [(MAX_ORDER, MAX_ORDER, 31, out)]
 
     def test_readme_example_runs(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -1363,6 +1432,109 @@ class TestExitCodes:
         assert "invalid _" not in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+# The fuzz's edge values, drawn for every option of every subcommand: float
+# and int edge cases, and strings that only some of Python's number parsers
+# take (Arabic-Indic digits read as 3 and 400).
+FUZZ_EDGES = [
+    "nan", "inf", "-inf", "-0", "5e-324", "1e400", "1/0", "\u0663",
+    "\u0664\u0660\u0660", "0x10", "1_0", "12345678901234567890",
+    "-12345678901234567890",
+]
+
+# Each option's ordinary values, or none, drawn as often as the edge values,
+# so that the lists also get past the checks and run.
+FUZZ_OPTIONS = {
+    "coeffs": {"--m": ["0", "28", "401"], "--format": ["paper", "csv"]},
+    "eval": {"--n": ["3", "3/2", "-1", "1.5"], "--m": ["0", "28", "401"]},
+    "integrate": {"--n": ["0", "3", "3/2", "5", "-1"],
+                  "--dx": ["1e-2", "1e-3", "1e-5", "-1e-3"],
+                  "--xmax": ["10", "100", "1e-2"]},
+    "compare": {"--n": ["0", "3", "3/2", "5", "-1"], "--m": ["4", "28", "401"],
+                "--dx": ["1e-2", "1e-3", "1e-5", "-1e-3"],
+                "--xmax": ["10", "100", "1e-2"]},
+    "bench": {"--mmax": ["2", "40", "400"], "--step": ["2", "20", "1"],
+              "--reps": ["1", "3", "101"]},
+}
+
+# Legitimate work that would take seconds is capped: a value of the option
+# from ``low`` to ``high`` is passed as ``to``.  Values past ``high`` stay:
+# the checks refuse them whatever the other options are given, as they do a
+# ``--dx`` below 1e-6, whose grid passes MAX_STEPS at every ``--xmax`` drawn
+# that exceeds its seeded region.
+FUZZ_CAPS = {
+    "--m": (60, MAX_ORDER, "60"),
+    "--mmax": (60, MAX_ORDER, "60"),
+    "--reps": (3, cli.MAX_REPS, "3"),
+    "--dx": (1e-6, 1e-3, "1e-3"),
+    "--xmax": (50, 1e6, "50"),
+}
+
+
+def _capped(option, text):
+    """``text`` as the fuzz passes it to ``option``, by :data:`FUZZ_CAPS`."""
+    if option in FUZZ_CAPS:
+        low, high, to = FUZZ_CAPS[option]
+        with contextlib.suppress(ValueError):
+            if low <= float(text) <= high:
+                return to
+    return text
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand, each of its options left out or given a value, and
+    the kind of ``--out`` path, or ``None`` to leave it out."""
+    command = draw(st.sampled_from(sorted(FUZZ_OPTIONS)))
+    argv = [command]
+    for option, ordinary in FUZZ_OPTIONS[command].items():
+        text = draw(st.sampled_from(FUZZ_EDGES)
+                    | st.sampled_from(ordinary + [None]))
+        if text is not None:
+            argv += [option, _capped(option, text)]
+    return argv, draw(st.just("file")
+                      | st.sampled_from([None, "dir", "missing", "full"]))
+
+
+class TestFuzz:
+    """Argument lists drawn from edge values, run in process under an
+    alarm: each exits 0, 1 or 2, with no traceback, and leaves no worker.
+    A usage error writes no ``--out`` file."""
+
+    @staticmethod
+    def on_alarm(signum, frame):
+        raise TimeoutError("cli.main ran past the fuzz's alarm")
+
+    @settings(max_examples=500, derandomize=True)
+    @given(fuzz_argv())
+    def test_every_exit_is_clean(self, case):
+        argv, out = case
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"file": os.path.join(tmp, "out.csv"), "dir": tmp,
+                     "missing": os.path.join(tmp, "missing", "out.csv")}
+            if os.path.exists("/dev/full"):  # every write fails with ENOSPC
+                paths["full"] = "/dev/full"
+            if out in paths:
+                argv = argv + ["--out", paths[out]]
+            err = io.StringIO()
+            handler = signal.signal(signal.SIGALRM, self.on_alarm)
+            signal.setitimer(signal.ITIMER_REAL, 20)
+            try:
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:
+                        code = exc.code
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                signal.signal(signal.SIGALRM, handler)
+            assert code in (0, cli.IO_ERROR, cli.USAGE_ERROR), argv
+            assert "Traceback" not in err.getvalue(), argv
+            assert multiprocessing.active_children() == [], argv
+            if code == cli.USAGE_ERROR:
+                assert not os.path.exists(paths["file"]), argv
 
 
 class TestEntryPoint:

@@ -97,7 +97,7 @@ class TestRecurrence:
         assert str(exc.value) == f"m: must be between 0 and {MAX_ORDER}"
 
     def test_order_bounded_before_any_work(self):
-        # without the bound, m = MAX_ORDER + 1 ran the kernel for about 10 s
+        # without the bound, m = MAX_ORDER + 1 ran the kernel for about 6 s
         start = time.perf_counter()
         with pytest.raises(ValueError) as exc:
             compute_coefficients(MAX_ORDER + 1)
