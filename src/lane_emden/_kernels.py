@@ -21,18 +21,37 @@ product ``c_i * c_j``.  At step ``k`` the sum is a polynomial of degree
 nodes ``n = 0, 1, ..., k/2`` and interpolates ``c_k`` back from those
 values, instead of multiplying the polynomials coefficient by coefficient.
 
-:func:`_horner` is the Horner loop of the kernel, the float seed, the float
-and exact series evaluations and the brute-force oracles; the loop of
+The recurrence keeps each ``c_k`` in Newton (falling-factorial) form, which
+the forward differences of its node values give, and evaluates it at a new
+node by nested multiplication.  Both changes of basis are integer
+unitriangular matrices (Stirling numbers), so the Newton coefficients have
+the gcd of the monomial ones: ``c_k`` is reduced in Newton form, and only
+the returned tables are converted to monomials.
+
+Each step's work at a node is its own, so the nodes are split between
+processes by a stride: one process takes every node in process, two take
+the even and the odd ones.  Each extends the ``c_j`` to its new nodes and
+sums its pairs there; at each step the two exchange their sums, and both
+run the difference pass.  The process that owns node ``k/2`` converts
+``c_k`` to monomials, in the step its partner spends on the new node.
+
+:func:`_horner` is the Horner loop of the float seed, the float and exact
+series evaluations and the brute-force oracles; the loop of
 ``IndexPolynomial.evaluate`` at ``n = p/q``, homogenized in ``q``, is faster.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from math import lcm
 from operator import add, mul, sub
 
 from .exact import _reduce
+
+# Smallest order whose steps run on two processes (lee_series_tables): below
+# it the fork and the exchanges cost more than the halved node work saves.
+FORK_ORDER = 100
 
 
 def _horner(nums, x):
@@ -46,16 +65,14 @@ def _horner(nums, x):
     return acc
 
 
-def _interpolate(values):
-    """Integer coefficients of the polynomial through ``(x, values[x])``.
+def _newton(values):
+    """Newton coefficients of the polynomial through ``(x, values[x])``.
 
     ``values`` are an integer polynomial's values at ``x = 0, 1, ..., d``,
     its degree at most ``d``.  With ``D^j p(0)`` the ``j``-th forward
-    difference at 0, the Newton form is
-    ``sum_j (D^j p(0) / j!) * x*(x - 1)*...*(x - j + 1)``; its coefficients
-    are integers, so each division is exact, and nested multiplication by
-    ``x - j`` turns it into monomial form.  Trailing zero coefficients are
-    kept.
+    difference at 0, ``p(x) = sum_j N_j * x*(x - 1)*...*(x - j + 1)`` with
+    ``N_j = D^j p(0) / j!``; those are integers, so each division is exact.
+    Trailing zero coefficients are kept.
     """
     newton = [values[0]]
     diffs = values
@@ -64,12 +81,51 @@ def _interpolate(values):
         diffs = list(map(sub, diffs[1:], diffs[:-1]))
         fact *= j
         newton.append(diffs[0] // fact)
+    return newton
+
+
+def _monomial(newton):
+    """The integer coefficients of ``n**j`` of the Newton form ``newton``,
+    by nested multiplication by ``x - j``; trailing zeros are kept."""
     poly = [newton[-1]]
-    for j in range(len(values) - 2, -1, -1):
+    for j in range(len(newton) - 2, -1, -1):
         # poly * (x - j) + newton[j]
         poly = list(map(sub, [0] + poly, [j * v for v in poly] + [0]))
         poly[0] += newton[j]
     return poly
+
+
+def _newton_horner(newton, x):
+    """The Newton form ``newton`` at ``x``, by nested multiplication."""
+    acc = 0
+    y = x - len(newton)
+    for v in reversed(newton):
+        # newton[j] is added after the product with y = x - j
+        y += 1
+        acc = acc * y + v
+    return acc
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 off Linux."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    return len(affinity(0)) if affinity else 1
+
+
+def _fork_cpus() -> int:
+    """How many processes may share a piece of work: the usable CPUs, or 1
+    where another thread runs.
+
+    fork copies only the calling thread, and a lock another thread holds
+    stays locked in the child, so only a single thread forks.
+    """
+    cpus = _usable_cpus()
+    if cpus >= 2:
+        import threading
+
+        if threading.active_count() > 1:
+            return 1
+    return cpus
 
 
 def lee_series_tables(m: int):
@@ -78,31 +134,53 @@ def lee_series_tables(m: int):
     Returns ``(a_num, a_den, c_num, c_den)`` where ``a_num[k]`` lists the
     integer coefficients of ``n**j`` for ``a_k`` and ``a_den[k]`` is the
     positive common denominator (and likewise for ``c``).  Odd indices are
-    stored as explicit zeros.
+    stored as explicit zeros.  From ``FORK_ORDER`` up, with two CPUs and
+    no other thread, the steps run on two processes (:func:`_forked_steps`);
+    should the worker die, they run again in this one.
     """
-    a_num = [[1], [0]]
-    a_den = [1, 1]
-    c_num = [[1], [0]]
+    steps = None
+    if m >= FORK_ORDER and _fork_cpus() >= 2:
+        steps = _forked_steps(m)
+    converted, c_den = steps or _steps(m, 0, 1, None)
+    c_num = [converted.get(k, [0]) for k in range(m + 1)]
+    a_num, a_den = [[1]], [1]
+    for k in range(1, m + 1):
+        nums, den = [0], 1
+        if k % 2 == 0:
+            nums = [-v for v in c_num[k - 2]]
+            nums, den = _reduce(nums, c_den[k - 2] * (k * k + k))
+        a_num.append(nums)
+        a_den.append(den)
+    return a_num, a_den, c_num, c_den[:m + 1]
+
+
+def _steps(m: int, r: int, stride: int, swap):
+    """The recurrence's steps through index ``m``, at the nodes
+    ``x = r (mod stride)``.
+
+    Returns ``(c_num, c_den)``: ``c_den`` lists every ``c_k``'s
+    denominator, and ``c_num`` maps ``k`` to the monomial coefficients of
+    each even ``c_k`` whose node ``k/2`` this process owns.  With
+    ``stride`` 2, ``swap(sums)`` hands the other process this one's sums
+    at its nodes and returns the other's.
+    """
     c_den = [1, 1]
-    # c_val[j][x] = C_j(x) at the nodes x = 0, 1, ..., k/2 of the step
-    c_val = {0: [1]}
+    newton = {0: [1]}  # the Newton coefficients of each even C_k
+    c_num = {0: [1]} if r == 0 else {}
+    # c_val[j] lists C_j(x) at this process's nodes x <= k/2 of the step
+    c_val = {0: [1] if r == 0 else []}
     for k in range(2, m + 1):
         if k % 2:
-            a_num.append([0])
-            a_den.append(1)
-            c_num.append([0])
             c_den.append(1)
             continue
 
         # the node k/2 is new at this step
-        nodes = k // 2 + 1
-        for j, vals in c_val.items():
-            vals.append(_horner(c_num[j], k // 2))
-
-        nums = [-v for v in c_num[k - 2]]
-        nums, den = _reduce(nums, c_den[k - 2] * (k * k + k))
-        a_num.append(nums)
-        a_den.append(den)
+        new = k // 2
+        nodes = new + 1
+        own = new % stride == r
+        if own:
+            for j, vals in c_val.items():
+                vals.append(_newton_horner(newton[j], new))
 
         # One term per pair i <= j, i + j = k - 2, weighted by the linear
         # (w0 + w1*n) / den_p that sums the bracket of l = i + 2 and, when
@@ -122,22 +200,87 @@ def lee_series_tables(m: int):
             pairs.append((i, j, w0, w1, den_p))
             common = lcm(common, den_p)
 
-        total = [0] * nodes
+        xs = range(r, nodes, stride)
+        total = [0] * len(xs)
         for i, j, w0, w1, den_p in pairs:
             # the minus sign of a_l = -c_{l-2} / (l^2 + l)
             s = -(common // den_p)
-            w = [s * (w0 + w1 * x) for x in range(nodes)]
+            w = [s * (w0 + w1 * x) for x in xs]
             prods = map(mul, c_val[i], c_val[j])
             total = list(map(add, total, map(mul, prods, w)))
 
-        nums, den = _reduce(_interpolate(total), common * k)
-        c_num.append(nums)
+        values = total
+        if stride == 2:
+            values = [0] * nodes
+            values[r::2], values[1 - r::2] = total, swap(total)
+        # The Newton coefficients' gcd is the monomial ones': each form is
+        # an integer unitriangular transform of the other.
+        nums, den = _reduce(_newton(values), common * k)
         c_den.append(den)
+        newton[k] = nums
         g = common * k // den
         c_val[k] = [v // g for v in total]
+        if own:
+            c_num[k] = _monomial(nums)
 
-    end = m + 1
-    return a_num[:end], a_den[:end], c_num[:end], c_den[:end]
+    return c_num, c_den
+
+
+def _forked_steps(m: int):
+    """:func:`_steps` on two processes: this one takes the even nodes, and
+    a forked worker the odd ones.
+
+    At each step the two exchange their sums, this process sending first
+    and the worker receiving first, so that no pipe size can hold them
+    both waiting; the worker sends its monomial ``c_k`` at the end.
+    Returns ``None`` where the fork fails or the worker dies.
+    """
+    import pickle
+    import signal
+
+    down_r, down_w, up_r, up_w = fds = os.pipe() + os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:  # the worker
+        status = 1
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            with open(down_r, "rb") as recv, open(up_w, "wb") as send:
+
+                def swap(sums):
+                    theirs = pickle.load(recv)
+                    pickle.dump(sums, send, pickle.HIGHEST_PROTOCOL)
+                    send.flush()
+                    return theirs
+
+                pickle.dump(_steps(m, 1, 2, swap)[0], send)
+            status = 0
+        finally:
+            os._exit(status)
+
+    os.close(down_r)
+    os.close(up_w)
+    try:
+        with open(up_r, "rb") as recv, open(down_w, "wb") as send:
+
+            def swap(sums):
+                pickle.dump(sums, send, pickle.HIGHEST_PROTOCOL)
+                send.flush()
+                return pickle.load(recv)
+
+            c_num, c_den = _steps(m, 0, 2, swap)
+            c_num.update(pickle.load(recv))
+        return c_num, c_den
+    except (BrokenPipeError, EOFError, pickle.UnpicklingError):
+        return None  # the worker died
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs,

@@ -12,18 +12,22 @@ Exit codes: 0 on success, 2 for usage errors, 1 for I/O errors.  All CSV
 output uses a header row, ``\\n`` line endings, a ``.`` decimal separator,
 and floats at 17 significant digits (round-trip precision).  The rows of the
 float CSVs of ``integrate`` and ``compare`` take one path, a chunk at a time
-from the stepped grid, through :func:`_write_floats`, the one place that
-decides whether to fork and runs the workers: on ``k`` usable CPUs,
-``k - 1`` forked workers and the process itself format the chunks while the
-next one is stepped.  One window, workers only on Linux: a worker may have
+from the stepped grid, through :func:`_write_floats`, which decides
+whether to fork and runs the workers: on ``k`` usable CPUs, ``k - 1``
+forked workers and the process itself format the chunks while the next one
+is stepped.  One window, workers only on Linux: a worker may have
 ``WINDOW`` chunks out, and starts only where its pipes can be enlarged to
 hold them.  With one CPU, a single chunk, another thread running or pipes
 that cannot be enlarged, the process formats every chunk itself, to the same
-bytes.  Output is byte-identical for a given CPython and C math library: the
-one libm call on the float path is ``F**n`` in ``_kernels.midpoint_steps``.
-The pinned digests are the bytes of a correctly rounded integer power on
-their grids.  glibc 2.36's ``pow``, which misrounds a cube rarely, gives the
-same bytes; a ``pow`` that is one ulp off on every call does not.
+bytes.  A table of order ``_kernels.FORK_ORDER`` or more is built on two
+processes, the second a forked worker (``_kernels.lee_series_tables``), to
+the same tables.  Both decide with ``_kernels._fork_cpus``: the usable
+CPUs, or one where another thread runs.  Output is byte-identical for a
+given CPython and C math library: the one libm call on the float path is
+``F**n`` in ``_kernels.midpoint_steps``.  The pinned digests are the bytes
+of a correctly rounded integer power on their grids.  glibc 2.36's
+``pow``, which misrounds a cube rarely, gives the same bytes; a ``pow``
+that is one ulp off on every call does not.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._kernels import FORK_ORDER, _fork_cpus
 from .evaluation import eval_series_float
 from .integrate import (
     CHUNK_ROWS,
@@ -151,14 +156,17 @@ def _bench_work(m_max: int, step: int, reps: int) -> float:
     A table of order m is the first m steps of one of order ``MAX_ORDER``:
     about m**3 / 48 of its big-integer products (``_kernels``), and the
     smallest, so ``(m / MAX_ORDER)**3`` bounds its share of that table's
-    time.
+    time.  Below ``FORK_ORDER`` a table is built on one process, and one
+    of order ``MAX_ORDER`` may be built on two, which at best halves its
+    time: such a table counts twice.
     """
     sizes = range(step, m_max + 1, step)
-    return reps * sum((m / MAX_ORDER) ** 3 for m in sizes)
+    return reps * sum((m / MAX_ORDER) ** 3 * (2 if m < FORK_ORDER else 1)
+                      for m in sizes)
 
 
 # Most work ``bench`` may ask for: its default run (--step 10, --reps 3)
-# at --mmax MAX_ORDER, about 31.5 tables, so every run the defaults allow
+# at --mmax MAX_ORDER, about 31.6 tables, so every run the defaults allow
 # stays allowed.
 BENCH_BUDGET = _bench_work(MAX_ORDER, 10, 3)
 
@@ -219,14 +227,7 @@ def _write_floats(
     """
     chunks = iter(chunks)
     ahead = list(itertools.islice(chunks, 2))
-    k = _usable_cpus() if len(ahead) == 2 else 1
-    if k >= 2:
-        import threading
-
-        # fork copies only the calling thread, and a lock another thread
-        # holds stays locked in the child, so only a single thread forks
-        if threading.active_count() > 1:
-            k = 1
+    k = _fork_cpus() if len(ahead) == 2 else 1
     procs, conns, feeds, texts, out = [], [], [], [], []  # out: chunks out
     pending = deque()  # in output order: own pieces, or a worker index
 
@@ -319,12 +320,6 @@ def _chunk_text(fields: Sequence[Sequence[float]]) -> bytes:
     for i, field in enumerate(fields):
         flat[i::width] = field.tolist()
     return (b",".join([b"%.17g"] * width) + b"\n") * rows % tuple(flat)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 off Linux, where no worker runs."""
-    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    return len(affinity(0)) if affinity else 1
 
 
 def _pieces(fields: Sequence[Sequence[float]]) -> list[bytes]:

@@ -39,8 +39,8 @@ MAX_ORDER = 400
 
 # Largest integer index q of the brute-force oracles, checked before any
 # work.  Their power takes time about as q**2 * m**4 for a table of order
-# m: at q = 10, 0.09 s at m = 140 and 12 s at MAX_ORDER, about twice the
-# time to build that table (2-vCPU machine).
+# m: at q = 10, 0.09 s at m = 140 and 8.5 s at MAX_ORDER, about twice the
+# 3.9 s to build that table on two processes (2-vCPU machine).
 MAX_ORACLE_INDEX = 10
 
 

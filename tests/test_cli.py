@@ -394,7 +394,7 @@ class TestChunkText:
         # formatted in process: two whole chunks of two rows, then the
         # short last one; the first two are taken before any is formatted,
         # and each later one is made only after those before it
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
         texts, chunk_text = [], cli._chunk_text
 
         def counted(fields):
@@ -433,7 +433,7 @@ class TestFormattingWorkers:
         monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
 
         def force(count):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+            monkeypatch.setattr(_kernels, "_usable_cpus", lambda: count)
 
         return force
 
@@ -604,7 +604,7 @@ class TestFormattingWorkers:
     ):
         # without os.sched_getaffinity (not Linux), one CPU is counted
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._usable_cpus() == 1
+        assert _kernels._usable_cpus() == 1
         argv, digest = self.CASES[0]
         assert self.run(tmp_path, argv) == digest
 
@@ -795,7 +795,7 @@ class TestChunkBoundaries:
         self, tmp_path, monkeypatch, cpus, rows, ndarray
     ):
         monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
         forks, get_context = [], multiprocessing.get_context
 
         def counted(method):
@@ -826,7 +826,7 @@ class TestChunkBoundaries:
         chunk = (array("d", [widest]) * cli.CHUNK_ROWS,) * 4
         text = cli._chunk_text(chunk)
         assert len(text) == cli.CHUNK_ROWS * 4 * 25
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
         forks, get_context = [], multiprocessing.get_context
 
         def counted(method):
@@ -845,7 +845,7 @@ class TestChunkBoundaries:
         # 2k + 1 chunks: more than the windows of the k - 1 workers hold
         widest = -2.2250738585072014e-308
         chunk = (array("d", [widest]) * cli.CHUNK_ROWS,) * 4
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: count)
         out = tmp_path / "out.csv"
         cli._write_floats(str(out), "a,b,c,d", [chunk] * (2 * count + 1))
         text = cli._chunk_text(chunk)
@@ -855,7 +855,7 @@ class TestChunkBoundaries:
     def test_texts_of_any_length_come_back(self, tmp_path, monkeypatch):
         # each text is longer than CHUNK_ROWS * width * 25 bytes, which no
         # chunk's .17g text reaches, and comes back whole from a worker
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
         forks, get_context = [], multiprocessing.get_context
         chunk_text = cli._chunk_text
 
@@ -907,7 +907,7 @@ class TestChunkBoundaries:
                 room.append(size - in_pipe[0] - message)
             return send(conn, obj)
 
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: count)
         monkeypatch.setattr(cli, "_pieces", slowed)
         monkeypatch.setattr(Connection, "send", measured_send)
         out = tmp_path / "out.csv"
@@ -920,7 +920,7 @@ class TestChunkBoundaries:
     def test_texts_longer_than_a_pipe_come_back(self, tmp_path, monkeypatch):
         # each text is longer than the pipe it comes back through, so the
         # worker sends it only as the parent reads it
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
         chunk_text, enlarge = cli._chunk_text, cli._enlarge
         parent = os.getpid()
         sizes, own = [], []
@@ -953,7 +953,7 @@ class TestChunkBoundaries:
         self, tmp_path, monkeypatch, cpus, command
     ):
         monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
         cfg = IntegratorConfig(dx=0.125, xmax=9.875)
         r = solve_midpoint(5.0, cfg)
         assert len(r.xs) == 80 and r.termination == "reached_xmax"
@@ -1069,10 +1069,10 @@ class TestBench:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, work", [
-        (["--mmax", "400", "--step", "2", "--reps", "1"], "50.5"),
-        (["--mmax", "400", "--reps", "100"], "1050.6"),
-        # about 340 s, estimated from the measured times of its tables
-        (["--mmax", "182", "--step", "2", "--reps", "96"], "210.3"),
+        (["--mmax", "400", "--step", "2", "--reps", "1"], "50.7"),
+        (["--mmax", "400", "--reps", "100"], "1053.8"),
+        # about 310 s, estimated from the measured times of its tables
+        (["--mmax", "182", "--step", "2", "--reps", "96"], "228.3"),
         (["--mmax", "400", "--step", "400", "--reps", "32"], "32.0"),
     ])
     def test_work_over_the_budget_builds_nothing(
@@ -1093,7 +1093,7 @@ class TestBench:
         err = capsys.readouterr().err
         assert ("lane-emden bench: error: arguments --mmax, --step, --reps:"
                 f" predicted work of {work} tables of order {MAX_ORDER} is"
-                " over the budget of 31.5") in err
+                " over the budget of 31.6") in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1593,8 +1593,8 @@ class TestColdStart:
     """numpy is imported only where array math runs: by ``compare``.
 
     ``multiprocessing`` is imported only where a float CSV has a second
-    chunk to format.  Each case runs in a fresh interpreter, since this
-    one has both loaded.
+    chunk to format; the series kernel forks its worker without it.  Each
+    case runs in a fresh interpreter, since this one has both loaded.
     """
 
     def run_child(self, child_env, *argvs, module="numpy"):
@@ -1630,6 +1630,9 @@ class TestColdStart:
         loaded = self.run_child(
             child_env,
             ["coeffs", "--m", "10", "--out", str(tmp_path / "c.txt")],
+            # a table the kernel builds on two processes, given two CPUs
+            ["coeffs", "--m", str(_kernels.FORK_ORDER),
+             "--out", str(tmp_path / "c.txt")],
             ["eval", "--n", "3", "--m", "6"],
             ["bench", "--mmax", "4", "--step", "2", "--reps", "1",
              "--out", str(tmp_path / "b.csv")],

@@ -1,7 +1,11 @@
 """Recurrence output, the generic power recurrence, and evaluation."""
 
+import contextlib
 import dataclasses
 import math
+import os
+import signal
+import threading
 import time
 from fractions import Fraction
 
@@ -21,7 +25,14 @@ from lane_emden import (
     solve_midpoint,
     verify_c_by_power,
 )
-from lane_emden._kernels import _interpolate, lee_series_tables
+from lane_emden import _kernels
+from lane_emden._kernels import (
+    FORK_ORDER,
+    _monomial,
+    _newton,
+    _newton_horner,
+    lee_series_tables,
+)
 from lane_emden.series import MAX_ORACLE_INDEX, MAX_ORDER, _power_truncated
 
 from reference_series import miller_power, mul_truncated
@@ -137,7 +148,161 @@ class TestInterpolate:
         nodes = len(coeffs) + extra
         values = [sum(c * x**j for j, c in enumerate(coeffs))
                   for x in range(nodes)]
-        assert _interpolate(values) == coeffs + [0] * extra
+        assert _monomial(_newton(values)) == coeffs + [0] * extra
+
+    @given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=12),
+           st.integers(1, 10**6))
+    def test_newton_gcd_is_monomial_gcd(self, coeffs, scale):
+        # the kernel reduces c_k in Newton form; a common factor makes the
+        # gcd more than 1 in most cases
+        coeffs = [c * scale for c in coeffs]
+        values = [sum(c * x**j for j, c in enumerate(coeffs))
+                  for x in range(len(coeffs))]
+        assert math.gcd(*_newton(values)) == math.gcd(*coeffs)
+
+    @given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=12),
+           st.integers(0, 40))
+    def test_newton_horner_is_the_value(self, coeffs, x):
+        newton = _newton([sum(c * y**j for j, c in enumerate(coeffs))
+                          for y in range(len(coeffs))])
+        want = sum(c * x**j for j, c in enumerate(coeffs))
+        assert _newton_horner(newton, x) == want
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the test, instead of hanging it, past ``seconds`` of wall time.
+
+    The failure is not an ``OSError`` or ``EOFError``, so the kernel does
+    not take it for a dead worker and lets it through.
+    """
+    def expire(*_):
+        pytest.fail(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedKernel:
+    """``lee_series_tables`` on two processes and on one: the same tables.
+
+    From ``FORK_ORDER`` up, with two usable CPUs and no other thread, a
+    worker is forked for the odd nodes; the usable CPU count is forced,
+    except under the real affinity.  No worker outlives its call.
+    """
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children ``os.fork`` makes in this test."""
+        pids, fork = [], os.fork
+
+        def record():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", record)
+        yield pids
+        for pid in pids:
+            # reaped already: no longer a child of this process
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @staticmethod
+    def tables(monkeypatch, m, cpus):
+        monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+        return lee_series_tables(m)
+
+    @pytest.mark.parametrize("m", [FORK_ORDER, 140, 200])
+    def test_forked_tables_are_the_in_process_ones(
+        self, monkeypatch, forks, m
+    ):
+        forked = self.tables(monkeypatch, m, 2)
+        assert len(forks) == 1
+        assert self.tables(monkeypatch, m, 1) == forked
+        assert len(forks) == 1
+        a_num, a_den = forked[:2]
+        for k, text in SYMBOLIC_A.items():
+            got = IndexPolynomial.from_integers(a_num[k], a_den[k])
+            assert got == parse_expression(text), k
+
+    def test_real_affinity(self, monkeypatch, forks):
+        # forks under taskset -c 0,1, and not under taskset -c 0
+        tables = lee_series_tables(FORK_ORDER)
+        assert len(forks) == (len(os.sched_getaffinity(0)) >= 2)
+        assert tables == self.tables(monkeypatch, FORK_ORDER, 1)
+
+    def test_one_cpu_forks_nothing(self, monkeypatch, forks):
+        tables = self.tables(monkeypatch, FORK_ORDER, 1)
+        assert forks == []
+        assert tables == self.tables(monkeypatch, FORK_ORDER, 2)
+
+    def test_lower_order_forks_nothing(self, monkeypatch, forks):
+        tables = self.tables(monkeypatch, FORK_ORDER - 2, 2)
+        assert forks == []
+        forked = self.tables(monkeypatch, FORK_ORDER, 2)
+        assert len(forks) == 1
+        assert tables == tuple(column[:FORK_ORDER - 1] for column in forked)
+
+    def test_other_thread_forks_nothing(self, monkeypatch, forks):
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            tables = self.tables(monkeypatch, FORK_ORDER, 2)
+        finally:
+            release.set()
+            waiter.join(60)
+        assert not waiter.is_alive()
+        assert forks == []
+        assert tables == self.tables(monkeypatch, FORK_ORDER, 2)
+        assert len(forks) == 1
+
+    def test_error_in_this_process_reaps_the_worker(
+        self, monkeypatch, forks
+    ):
+        parent, monomial = os.getpid(), _kernels._monomial
+
+        def fail(newton):
+            if os.getpid() == parent and len(newton) > 20:
+                raise LookupError("mid-run")
+            return monomial(newton)
+
+        monkeypatch.setattr(_kernels, "_monomial", fail)
+        with deadline(60), pytest.raises(LookupError, match="mid-run"):
+            self.tables(monkeypatch, FORK_ORDER, 2)
+        assert len(forks) == 1
+
+    def test_killed_worker_is_run_again_in_process(
+        self, monkeypatch, forks
+    ):
+        parent, horner = os.getpid(), _kernels._newton_horner
+        steps, runs = _kernels._steps, []
+
+        def die(newton, x):
+            if os.getpid() != parent and x > 20:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return horner(newton, x)
+
+        def record(m, r, stride, swap):
+            if os.getpid() == parent:
+                runs.append(stride)
+            return steps(m, r, stride, swap)
+
+        monkeypatch.setattr(_kernels, "_newton_horner", die)
+        monkeypatch.setattr(_kernels, "_steps", record)
+        with deadline(60):
+            tables = self.tables(monkeypatch, FORK_ORDER, 2)
+        assert len(forks) == 1
+        assert runs == [2, 1]  # the forked run, then the run in process
+        monkeypatch.setattr(_kernels, "_newton_horner", horner)
+        assert tables == self.tables(monkeypatch, FORK_ORDER, 1)
 
 
 class TestMillerPower:
