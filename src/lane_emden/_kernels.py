@@ -35,6 +35,11 @@ sums its pairs there; at each step the two exchange their sums, and both
 run the difference pass.  The process that owns node ``k/2`` converts
 ``c_k`` to monomials, in the step its partner spends on the new node.
 
+:func:`_fork` is the package's one way to make a worker, which the float
+CSVs' formatting workers (``cli._write_floats``) share: a forked process on
+two pipes, which carry messages of :func:`_send` and :func:`_recv`, until
+:func:`_reap` ends it.
+
 :func:`_horner` is the Horner loop of the float seed, the float and exact
 series evaluations and the brute-force oracles; the loop of
 ``IndexPolynomial.evaluate`` at ``n = p/q``, homogenized in ``q``, is faster.
@@ -126,6 +131,94 @@ def _fork_cpus() -> int:
         if threading.active_count() > 1:
             return 1
     return cpus
+
+
+def _fork(work, room: int = 0):
+    """Fork a worker that runs ``work(recv, send)`` on the ends of two new
+    pipes, then exits; returns ``(pid, recv, send)``, this process's ends.
+
+    Given ``room``, both pipes are first enlarged to hold that many bytes.
+    Where they cannot be, or the fork fails, every end is closed, nothing
+    is forked and ``None`` is returned.
+    """
+    down_r, down_w, up_r, up_w = fds = os.pipe() + os.pipe()
+    try:
+        if room and not (_enlarge(down_w, room) and _enlarge(up_r, room)):
+            raise OSError("the pipes cannot hold room")
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:  # the worker
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            work(down_r, up_w)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    # the worker holds the only other ends now: should it die, a send to
+    # it raises BrokenPipeError and a receive EOFError
+    os.close(down_r)
+    os.close(up_w)
+    return pid, up_r, down_w
+
+
+def _enlarge(fd: int, size: int) -> bool:
+    """Whether the pipe of ``fd`` now holds at least ``size`` bytes."""
+    import fcntl
+
+    resize = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
+    try:
+        return resize is not None and fcntl.fcntl(fd, resize, size) >= size
+    except OSError:  # past fs.pipe-max-size, or the user's pipe quota
+        return False
+
+
+def _send(fd: int, obj) -> None:
+    """Write ``obj`` to ``fd`` as one message: its pickle's length in 8
+    bytes, then the pickle."""
+    import pickle
+
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    data = memoryview(len(data).to_bytes(8, "little") + data)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _recv(fd: int):
+    """The next message on ``fd``; ``EOFError`` where the pipe ends first.
+
+    It is read unbuffered and no further than its end, so whether another
+    message has begun is a ``poll`` of ``fd``.
+    """
+    import pickle
+
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _read(fd: int, size: int) -> bytearray:
+    """``size`` bytes read from ``fd``; ``EOFError`` where it ends first."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            raise EOFError("a worker process ended before its message")
+        view = view[got:]
+    return data
+
+
+def _reap(pid: int, *fds: int) -> None:
+    """Close this process's ``fds``, then kill the worker ``pid`` and wait
+    for it."""
+    import signal
+
+    for fd in fds:
+        os.close(fd)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
 
 
 def lee_series_tables(m: int):
@@ -228,59 +321,38 @@ def _steps(m: int, r: int, stride: int, swap):
 
 def _forked_steps(m: int):
     """:func:`_steps` on two processes: this one takes the even nodes, and
-    a forked worker the odd ones.
+    a worker (:func:`_fork`) the odd ones.
 
     At each step the two exchange their sums, this process sending first
     and the worker receiving first, so that no pipe size can hold them
     both waiting; the worker sends its monomial ``c_k`` at the end.
     Returns ``None`` where the fork fails or the worker dies.
     """
-    import pickle
-    import signal
+    def work(recv, send):
+        def swap(sums):
+            theirs = _recv(recv)
+            _send(send, sums)
+            return theirs
 
-    down_r, down_w, up_r, up_w = fds = os.pipe() + os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
+        _send(send, _steps(m, 1, 2, swap)[0])
+
+    worker = _fork(work)
+    if worker is None:
         return None
-    if pid == 0:  # the worker
-        status = 1
-        try:
-            os.close(down_w)
-            os.close(up_r)
-            with open(down_r, "rb") as recv, open(up_w, "wb") as send:
+    pid, recv, send = worker
 
-                def swap(sums):
-                    theirs = pickle.load(recv)
-                    pickle.dump(sums, send, pickle.HIGHEST_PROTOCOL)
-                    send.flush()
-                    return theirs
+    def swap(sums):
+        _send(send, sums)
+        return _recv(recv)
 
-                pickle.dump(_steps(m, 1, 2, swap)[0], send)
-            status = 0
-        finally:
-            os._exit(status)
-
-    os.close(down_r)
-    os.close(up_w)
     try:
-        with open(up_r, "rb") as recv, open(down_w, "wb") as send:
-
-            def swap(sums):
-                pickle.dump(sums, send, pickle.HIGHEST_PROTOCOL)
-                send.flush()
-                return pickle.load(recv)
-
-            c_num, c_den = _steps(m, 0, 2, swap)
-            c_num.update(pickle.load(recv))
+        c_num, c_den = _steps(m, 0, 2, swap)
+        c_num.update(_recv(recv))
         return c_num, c_den
-    except (BrokenPipeError, EOFError, pickle.UnpicklingError):
+    except (BrokenPipeError, EOFError):
         return None  # the worker died
     finally:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        _reap(pid, recv, send)
 
 
 def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs,

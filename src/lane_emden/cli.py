@@ -17,17 +17,20 @@ whether to fork and runs the workers: on ``k`` usable CPUs, ``k - 1``
 forked workers and the process itself format the chunks while the next one
 is stepped.  One window, workers only on Linux: a worker may have
 ``WINDOW`` chunks out, and starts only where its pipes can be enlarged to
-hold them.  With one CPU, a single chunk, another thread running or pipes
-that cannot be enlarged, the process formats every chunk itself, to the same
-bytes.  A table of order ``_kernels.FORK_ORDER`` or more is built on two
+hold them.  With one CPU, a single chunk, another thread running, pipes
+that cannot be enlarged or a fork that fails, the process formats every
+chunk itself, to the same bytes.  A worker that dies is an I/O error (exit
+1).  A table of order ``_kernels.FORK_ORDER`` or more is built on two
 processes, the second a forked worker (``_kernels.lee_series_tables``), to
 the same tables.  Both decide with ``_kernels._fork_cpus``: the usable
-CPUs, or one where another thread runs.  Output is byte-identical for a
-given CPython and C math library: the one libm call on the float path is
-``F**n`` in ``_kernels.midpoint_steps``.  The pinned digests are the bytes
-of a correctly rounded integer power on their grids.  glibc 2.36's
-``pow``, which misrounds a cube rarely, gives the same bytes; a ``pow``
-that is one ulp off on every call does not.
+CPUs, or one where another thread runs.  Both make their workers with one
+primitive: ``_kernels._fork``, ``_send``, ``_recv`` and ``_reap``.
+
+Output is byte-identical for a given CPython and C math library: the one
+libm call on the float path is ``F**n`` in ``_kernels.midpoint_steps``.
+The pinned digests are the bytes of a correctly rounded integer power on
+their grids.  glibc 2.36's ``pow``, which misrounds a cube rarely, gives
+the same bytes; a ``pow`` that is one ulp off on every call does not.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from ._kernels import FORK_ORDER, _fork_cpus
+from ._kernels import FORK_ORDER, _fork, _fork_cpus, _reap, _recv, _send
 from .evaluation import eval_series_float
 from .integrate import (
     CHUNK_ROWS,
@@ -212,23 +215,27 @@ def _write_floats(
     file overlaps the workers' formatting.
 
     Given a second chunk, ``k >= 2`` usable CPUs and no other thread running,
-    up to ``k - 1`` workers are forked, each with a pipe for its chunks and one
-    for its texts.  One window, workers only on Linux: a worker is forked only
-    once both its pipes hold ``WINDOW`` chunks out (``F_SETPIPE_SZ``), and the
-    first whose pipes cannot ends the forking.  A chunk goes to the worker with
-    the fewest out if it has fewer than ``WINDOW``, and is formatted here
-    otherwise.  The texts are written in order: before each chunk is handed on,
-    those ready at the head, and with two of this process's own waiting and
+    up to ``k - 1`` workers are forked (``_kernels._fork``), each with a pipe
+    for its chunks and one for its texts.  One window, workers only on Linux:
+    a worker is forked only once both its pipes hold ``WINDOW`` chunks out
+    (``F_SETPIPE_SZ``), and the first whose pipes cannot, or whose fork
+    fails, ends the forking.  A chunk goes to the worker with the fewest out
+    if it has fewer than ``WINDOW``, and is formatted here otherwise.  The
+    texts are written in order: before each chunk is handed on, those ready
+    at the head (a ``poll`` of the text pipe: ``_recv`` reads no further
+    than a message's end), and with two of this process's own waiting and
     every worker full, the oldest worker text is waited for.  A chunk goes to
-    its worker as one pickled message; every text is formatted in the pieces of
-    :func:`_pieces`, which a worker sends back one message each, then an empty
-    one.  However the writing ends, the workers are stopped and joined, and
-    every connection closed.
+    its worker as one message (``_kernels._send``); every text is formatted
+    in the pieces of :func:`_pieces`, which a worker sends back one message
+    each, then an empty one.  A worker's error is raised here again, and a
+    dead worker's pipe raises ``EOFError``.  However the writing ends, every
+    worker's pipes are closed and the worker is killed and reaped
+    (``_kernels._reap``).
     """
     chunks = iter(chunks)
     ahead = list(itertools.islice(chunks, 2))
     k = _fork_cpus() if len(ahead) == 2 else 1
-    procs, conns, feeds, texts, out = [], [], [], [], []  # out: chunks out
+    workers, out = [], []  # (pid, texts, feed) each; out: its chunks out
     pending = deque()  # in output order: own pieces, or a worker index
 
     def hand_on(chunk):
@@ -236,9 +243,9 @@ def _write_floats(
         if fewest < WINDOW:
             j = out.index(fewest)
             try:
-                feeds[j].send(chunk)
+                _send(workers[j][2], chunk)
             except BrokenPipeError:
-                pass  # the worker died: its text's recv says so
+                pass  # the worker died: its text's _recv says so
             out[j] += 1
             pending.append(j)
         else:
@@ -249,9 +256,10 @@ def _write_floats(
             j = pending[0]
             if type(j) is list:
                 fh.writelines(j)
-            elif (wait or texts[j].poll() or min(out) == WINDOW
+            elif (wait or workers[j][1] in dict(ready.poll(0))
+                    or min(out) == WINDOW
                     and sum(type(e) is list for e in pending) == 2):
-                while text := texts[j].recv():  # b"" ends a text
+                while text := _recv(workers[j][1]):  # b"" ends a text
                     if isinstance(text, Exception):  # the worker's error
                         raise text
                     fh.write(text)
@@ -262,10 +270,9 @@ def _write_floats(
 
     try:
         if k >= 2:
-            import multiprocessing
-            # No pool: it would receive the texts on a thread of its own,
-            # whose heap kept several MB resident after each run.
-            context = multiprocessing.get_context("fork")
+            import select
+
+            ready = select.poll()  # the workers' text pipes
             # Room for two texts, at most 25 bytes a field (a .17g field
             # has at most 24 characters, then its comma or newline), and
             # less than four pages more for their framing and the pages
@@ -274,26 +281,13 @@ def _write_floats(
             pipe_bytes = 2 * (len(ahead[0]) * CHUNK_ROWS * 25
                               + 4 * os.sysconf("SC_PAGESIZE"))
         for _ in range(k - 1):
-            ends = context.Pipe(duplex=False) + context.Pipe(duplex=False)
-            chunks_in, feed, text_end, texts_out = ends
             # in smaller pipes, this process could wait to send a chunk to
             # a worker that waits to send it a text: none is forked there
-            if not (_enlarge(feed, pipe_bytes)
-                    and _enlarge(text_end, pipe_bytes)):
-                for conn in ends:
-                    conn.close()
+            worker = _fork(_format_chunks, pipe_bytes)
+            if worker is None:
                 break
-            conns += ends
-            proc = context.Process(target=_format_chunks,
-                                   args=(chunks_in, texts_out))
-            proc.start()
-            procs.append(proc)
-            # the worker holds the only other ends now: should it die, a
-            # send to it raises BrokenPipeError and a recv EOFError
-            chunks_in.close()
-            texts_out.close()
-            feeds.append(feed)
-            texts.append(text_end)
+            workers.append(worker)
+            ready.register(worker[1], select.POLLIN)
             out.append(0)
         while ahead:
             hand_on(ahead.pop(0))
@@ -305,12 +299,8 @@ def _write_floats(
             write_ready(fh, True)
             fh.write("".join(f"{line}\n" for line in tail).encode("ascii"))
     finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.join()
-        for conn in conns:
-            conn.close()
+        for worker in workers:
+            _reap(*worker)
 
 
 def _chunk_text(fields: Sequence[Sequence[float]]) -> bytes:
@@ -330,25 +320,15 @@ def _pieces(fields: Sequence[Sequence[float]]) -> list[bytes]:
             for lo in range(0, len(fields[0]), rows)]
 
 
-def _enlarge(conn, size: int) -> bool:
-    """Whether ``conn``'s pipe now holds at least ``size`` bytes."""
-    import fcntl
-
-    resize = getattr(fcntl, "F_SETPIPE_SZ", None)  # Linux only
-    try:
-        return resize is not None and fcntl.fcntl(conn, resize, size) >= size
-    except OSError:  # past fs.pipe-max-size, or the user's pipe quota
-        return False
-
-
-def _format_chunks(chunks, texts) -> None:
-    """In a worker: send the text of each of ``chunks``, or the error."""
+def _format_chunks(chunks: int, texts: int) -> None:
+    """In a worker: send to ``texts`` the text of each chunk received on
+    ``chunks``, or the error."""
     try:
         while True:
-            for piece in _pieces(chunks.recv()) + [b""]:
-                texts.send(piece)
+            for piece in _pieces(_recv(chunks)) + [b""]:
+                _send(texts, piece)
     except Exception as exc:
-        texts.send(exc)
+        _send(texts, exc)
 
 
 def _rational(text: str) -> Fraction:
@@ -501,7 +481,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     f" budget of {BENCH_BUDGET:.1f}"
                 )
             cmd_bench(args.mmax, args.step, args.reps, args.out)
-    except OSError as exc:
+    except (OSError, EOFError) as exc:
+        # EOFError: a formatting worker died, killed for memory, say
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR
     return 0

@@ -9,8 +9,8 @@ import inspect
 import io
 import json
 import math
-import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -22,8 +22,6 @@ import time
 import tracemalloc
 from array import array
 from fractions import Fraction
-from multiprocessing.connection import Connection
-from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -45,6 +43,7 @@ from lane_emden.integrate import MAX_STEPS
 from lane_emden.series import MAX_ORDER
 
 import pinned
+from children import no_child_left, record_forks, running
 
 GOLDEN_M6 = b"000;1\n002;-1/6\n004;n/120\n006;-n*(8*n - 5)/15120\n"
 PINNED = pinned.load()
@@ -117,7 +116,7 @@ def steps_with_exact_powers():
 @pytest.fixture(autouse=True)
 def no_worker_outlives_its_run():
     yield
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def read_bytes(path):
@@ -439,15 +438,16 @@ class TestFormattingWorkers:
 
     @pytest.fixture
     def no_workers(self, monkeypatch):
+        # the writer's own name for _kernels._fork: the kernel may fork
         def refuse(*args, **kwargs):
             raise AssertionError("workers were started")
 
-        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        monkeypatch.setattr(cli, "_fork", refuse)
 
     def run(self, tmp_path, argv):
         out = tmp_path / "out.csv"
         assert cli.main(argv + ["--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         return hashlib.sha256(read_bytes(out)).hexdigest()
 
     @pytest.mark.parametrize("argv, digest", CASES)
@@ -462,15 +462,14 @@ class TestFormattingWorkers:
         texts waiting, and the number of chunks it formatted itself."""
         # the parent's chunks in order, "w" sent to a worker and "p"
         # formatted itself, and the worker texts it received
-        alive, forked, order, received = [], [], [], [0]
+        alive, order, received = [], [], [0]
         most = {"out": 0, "own": 0}
         steps, pieces = _kernels.midpoint_steps, cli._pieces
-        context = multiprocessing.get_context("fork")
-        send, receive = Connection.send, Connection.recv
-        process, parent = context.Process, os.getpid()
+        send, receive, parent = cli._send, cli._recv, os.getpid()
+        forked = record_forks(monkeypatch)
 
         def counted_steps(*args):
-            alive.append(len(multiprocessing.active_children()))
+            alive.append(sum(map(running, forked)))
             return steps(*args)
 
         def own_waiting():
@@ -489,29 +488,23 @@ class TestFormattingWorkers:
                 time.sleep(slow)
             return pieces(fields)
 
-        def counted_send(conn, *args):
+        def counted_send(fd, obj):
             if os.getpid() == parent:
                 order.append("w")
                 most["out"] = max(most["out"],
                                   order.count("w") - received[0])
-            return send(conn, *args)
+            return send(fd, obj)
 
-        def counted_receive(conn, *args):
-            message = receive(conn, *args)
+        def counted_receive(fd):
+            message = receive(fd)
             if os.getpid() == parent and message == b"":  # a text's end
                 received[0] += 1
             return message
 
-        def counted_process(*args, **kwargs):
-            forked.append(1)
-            return process(*args, **kwargs)
-
         monkeypatch.setattr(_kernels, "midpoint_steps", counted_steps)
         monkeypatch.setattr(cli, "_pieces", counted_pieces)
-        monkeypatch.setattr(Connection, "send", counted_send)
-        monkeypatch.setattr(Connection, "recv", counted_receive)
-        monkeypatch.setattr(type(context), "Process",
-                            staticmethod(counted_process))
+        monkeypatch.setattr(cli, "_send", counted_send)
+        monkeypatch.setattr(cli, "_recv", counted_receive)
         argv, digest = self.CASES[0]
         assert self.run(tmp_path, argv) == digest
         # every worker formats while the grid is still being stepped
@@ -642,7 +635,7 @@ class TestFormattingWorkers:
         argv, _ = self.CASES[0]
         with pytest.raises(LookupError, match="chunk at"):
             cli.main(argv + ["--out", str(tmp_path / "out.csv")])
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_parent_chunk_error_surfaces(self, tmp_path, cpus, monkeypatch):
         # the worker is slowed, so that the parent formats chunks of its own
@@ -659,29 +652,35 @@ class TestFormattingWorkers:
         argv, _ = self.CASES[0]
         with pytest.raises(LookupError, match="chunk at"):
             cli.main(argv + ["--out", str(tmp_path / "out.csv")])
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     @pytest.mark.parametrize("case", ["run", "error", "refused"])
     def test_every_connection_is_closed(
         self, tmp_path, cpus, monkeypatch, case
     ):
-        # a leaked Connection raises no ResourceWarning, so the CLI tests in
-        # development mode cannot catch a dropped close
-        # the ends of each pipe _write_floats makes through the context
-        conns, context = [], multiprocessing.get_context("fork")
-        pipe = context.Pipe
+        # a leaked file descriptor raises no ResourceWarning, so the CLI
+        # tests in development mode cannot catch a dropped close
+        # this process's ends of each pipe _write_floats makes, with the
+        # pipe's inode: a closed end's number may be reused
+        ends, pipe, parent = [], os.pipe, os.getpid()
 
-        def recorded_pipe(*args, **kwargs):
-            ends = pipe(*args, **kwargs)
-            conns.extend(ends)
-            return ends
+        def recorded_pipe():
+            fds = pipe()
+            if os.getpid() == parent:
+                ends.extend((fd, os.fstat(fd).st_ino) for fd in fds)
+            return fds
+
+        def closed(fd, inode):
+            try:
+                return os.fstat(fd).st_ino != inode
+            except OSError:
+                return True
 
         def fail(fields):
             raise LookupError("chunk failed")
 
         cpus(2)
-        monkeypatch.setattr(type(context), "Pipe",
-                            staticmethod(recorded_pipe))
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
         argv, digest = self.CASES[0]
         if case == "error":
             monkeypatch.setattr(cli, "_chunk_text", fail)
@@ -691,9 +690,17 @@ class TestFormattingWorkers:
             if case == "refused":  # the one worker's pipes: it never starts
                 self.refuse_enlarging(monkeypatch, 0)
             assert self.run(tmp_path, argv) == digest
-        assert conns and all(conn.closed for conn in conns)
+        assert ends and all(closed(fd, inode) for fd, inode in ends)
 
-    def test_worker_death_surfaces(self, tmp_path, cpus, monkeypatch):
+    @staticmethod
+    def died(capsys, code):
+        """Whether ``cli.main`` ended in ``code``, a clean exit 1 for a
+        dead worker: its error line, no traceback."""
+        err = capsys.readouterr().err
+        return (code == cli.IO_ERROR and err.startswith("error:")
+                and "worker" in err and "Traceback" not in err)
+
+    def test_worker_death_surfaces(self, tmp_path, cpus, monkeypatch, capsys):
         # a worker that exits without sending its text closes its pipe
         chunk_text, parent = cli._chunk_text, os.getpid()
 
@@ -705,12 +712,12 @@ class TestFormattingWorkers:
         cpus(2)
         monkeypatch.setattr(cli, "_chunk_text", die)
         argv, _ = self.CASES[0]
-        with pytest.raises(EOFError):
-            cli.main(argv + ["--out", str(tmp_path / "out.csv")])
-        assert multiprocessing.active_children() == []
+        code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert self.died(capsys, code)
+        assert no_child_left()
 
     def test_worker_death_found_on_a_queued_send(
-        self, tmp_path, cpus, monkeypatch
+        self, tmp_path, cpus, monkeypatch, capsys
     ):
         # The one worker on two CPUs gets chunks 0 and 1 before --out is
         # opened, and chunk 2 after.  It holds chunk 0 until the parent
@@ -718,8 +725,9 @@ class TestFormattingWorkers:
         # behind it; that send waits for the exit, so it meets a closed
         # pipe.
         calls, broken, pieces = [], [], cli._pieces
-        send, sent, parent = Connection.send, [0], os.getpid()
+        send, sent, parent = cli._send, [0], os.getpid()
         gate, opener = os.pipe()
+        forked = record_forks(monkeypatch)
 
         def die_second(fields):
             if os.getpid() != parent:
@@ -729,33 +737,33 @@ class TestFormattingWorkers:
                 os.read(gate, 1)
             return pieces(fields)
 
-        def send_once_dead(conn, *args):
+        def send_once_dead(fd, obj):
             if os.getpid() == parent:
                 sent[0] += 1
                 if sent[0] == 3:
                     os.write(opener, b"x")
                     deadline = time.monotonic() + 60
-                    while (multiprocessing.active_children()
+                    while (running(forked[0])
                            and time.monotonic() < deadline):
                         time.sleep(0.01)
             try:
-                return send(conn, *args)
+                return send(fd, obj)
             except BrokenPipeError:
                 broken.append(sent[0])
                 raise
 
         cpus(2)
         monkeypatch.setattr(cli, "_pieces", die_second)
-        monkeypatch.setattr(Connection, "send", send_once_dead)
+        monkeypatch.setattr(cli, "_send", send_once_dead)
         argv, _ = self.CASES[0]
         try:
-            with pytest.raises(EOFError):
-                cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+            code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
         finally:
             os.close(gate)
             os.close(opener)
+        assert self.died(capsys, code)
         assert broken[0] == 3
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_missing_out_directory_is_io_error(self, tmp_path, cpus, capsys):
         # --out is opened once the worker has its first chunks
@@ -765,7 +773,7 @@ class TestFormattingWorkers:
         assert cli.main(argv + ["--out", str(out)]) == cli.IO_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs /dev/full")
@@ -774,7 +782,7 @@ class TestFormattingWorkers:
         argv, _ = self.CASES[0]
         assert cli.main(argv + ["--out", "/dev/full"]) == cli.IO_ERROR
         assert "error:" in capsys.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
 
 class TestChunkBoundaries:
@@ -796,13 +804,7 @@ class TestChunkBoundaries:
     ):
         monkeypatch.setattr(cli, "CHUNK_ROWS", 40)
         monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
-        forks, get_context = [], multiprocessing.get_context
-
-        def counted(method):
-            forks.append(method)
-            return get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        forks = record_forks(monkeypatch)
         values = ([i / 7 for i in range(rows)],
                   [math.sin(i) * 10.0 ** (i % 41 - 20) for i in range(rows)])
         eager = "".join(",".join(cli._fmt(v) for v in row) + "\n"
@@ -815,7 +817,7 @@ class TestChunkBoundaries:
         cli._write_floats(str(out), "x,y", chunks, ["# end"])
         assert read_bytes(out) == f"x,y\n{eager}# end\n".encode()
         assert bool(forks) == (cpus > 1 and rows > 40)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_widest_chunks_go_through_the_workers(self, tmp_path, monkeypatch):
         # a .17g field is at most 24 characters, as this one is, so a full
@@ -827,18 +829,12 @@ class TestChunkBoundaries:
         text = cli._chunk_text(chunk)
         assert len(text) == cli.CHUNK_ROWS * 4 * 25
         monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
-        forks, get_context = [], multiprocessing.get_context
-
-        def counted(method):
-            forks.append(method)
-            return get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        forks = record_forks(monkeypatch)
         out = tmp_path / "out.csv"
         cli._write_floats(str(out), "a,b,c,d", [chunk] * 2)
-        assert forks == ["fork"]
+        assert len(forks) == 1
         assert read_bytes(out) == b"a,b,c,d\n" + text * 2
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     @pytest.mark.parametrize("count", [2, 3])
     def test_widest_chunks_fill_the_window(self, tmp_path, monkeypatch, count):
@@ -850,23 +846,17 @@ class TestChunkBoundaries:
         cli._write_floats(str(out), "a,b,c,d", [chunk] * (2 * count + 1))
         text = cli._chunk_text(chunk)
         assert read_bytes(out) == b"a,b,c,d\n" + text * (2 * count + 1)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_texts_of_any_length_come_back(self, tmp_path, monkeypatch):
         # each text is longer than CHUNK_ROWS * width * 25 bytes, which no
         # chunk's .17g text reaches, and comes back whole from a worker
         monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
-        forks, get_context = [], multiprocessing.get_context
-        chunk_text = cli._chunk_text
-
-        def counted(method):
-            forks.append(method)
-            return get_context(method)
+        forks, chunk_text = record_forks(monkeypatch), cli._chunk_text
 
         def padded(fields):
             return chunk_text(fields) * (cli.CHUNK_ROWS * 25)
 
-        monkeypatch.setattr(multiprocessing, "get_context", counted)
         monkeypatch.setattr(cli, "_chunk_text", padded)
         chunks = [(array("d", [i]), array("d", [-i])) for i in range(3)]
         out = tmp_path / "out.csv"
@@ -874,9 +864,9 @@ class TestChunkBoundaries:
         texts = [b"%d,%d\n" % (i, -i) * (cli.CHUNK_ROWS * 25)
                  for i in range(3)]
         assert min(map(len, texts)) > cli.CHUNK_ROWS * 2 * 25
-        assert forks == ["fork"]
+        assert len(forks) == 1
         assert read_bytes(out) == b"x,y\n" + b"".join(texts)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"),
                         reason="needs Linux pipe sizes")
@@ -884,12 +874,12 @@ class TestChunkBoundaries:
     def test_chunk_sends_never_wait(self, tmp_path, monkeypatch, count):
         # with the workers slowed, so that the parent fills every window,
         # each chunk of the widest CSV finds room for its whole message
-        # (a 4-byte header, then the pickle) in its pipe; the columns are
+        # (an 8-byte length, then the pickle) in its pipe; the columns are
         # distinct arrays, which the pickle cannot share
         widest = -2.2250738585072014e-308
         chunk = tuple(array("d", [widest]) * cli.CHUNK_ROWS for _ in "abcd")
-        message = len(ForkingPickler.dumps(chunk)) + 4
-        send, pieces = Connection.send, cli._pieces
+        message = len(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)) + 8
+        send, pieces = cli._send, cli._pieces
         parent = os.getpid()
         queued, room = [], []
 
@@ -898,30 +888,30 @@ class TestChunkBoundaries:
                 time.sleep(0.01)
             return pieces(fields)
 
-        def measured_send(conn, obj):
+        def measured_send(fd, obj):
             if os.getpid() == parent:
                 in_pipe = array("i", [0])
-                fcntl.ioctl(conn.fileno(), termios.FIONREAD, in_pipe)
-                size = fcntl.fcntl(conn.fileno(), fcntl.F_GETPIPE_SZ)
+                fcntl.ioctl(fd, termios.FIONREAD, in_pipe)
+                size = fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ)
                 queued.append(in_pipe[0])
                 room.append(size - in_pipe[0] - message)
-            return send(conn, obj)
+            return send(fd, obj)
 
         monkeypatch.setattr(_kernels, "_usable_cpus", lambda: count)
         monkeypatch.setattr(cli, "_pieces", slowed)
-        monkeypatch.setattr(Connection, "send", measured_send)
+        monkeypatch.setattr(cli, "_send", measured_send)
         out = tmp_path / "out.csv"
         cli._write_floats(str(out), "a,b,c,d", [chunk] * 12)
         assert read_bytes(out) == b"a,b,c,d\n" + cli._chunk_text(chunk) * 12
         assert max(queued) >= message  # a chunk was sent behind another
         assert min(room) >= 0
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     def test_texts_longer_than_a_pipe_come_back(self, tmp_path, monkeypatch):
         # each text is longer than the pipe it comes back through, so the
         # worker sends it only as the parent reads it
         monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
-        chunk_text, enlarge = cli._chunk_text, cli._enlarge
+        chunk_text, enlarge = cli._chunk_text, _kernels._enlarge
         parent = os.getpid()
         sizes, own = [], []
 
@@ -930,13 +920,13 @@ class TestChunkBoundaries:
                 own.append(1)
             return chunk_text(fields) * 2**20
 
-        def measured_enlarge(conn, size):
-            enlarged = enlarge(conn, size)
-            sizes.append(fcntl.fcntl(conn, fcntl.F_GETPIPE_SZ))
+        def measured_enlarge(fd, size):
+            enlarged = enlarge(fd, size)
+            sizes.append(fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ))
             return enlarged
 
         monkeypatch.setattr(cli, "_chunk_text", padded)
-        monkeypatch.setattr(cli, "_enlarge", measured_enlarge)
+        monkeypatch.setattr(_kernels, "_enlarge", measured_enlarge)
         chunks = [(array("d", [i]), array("d", [-i])) for i in range(3)]
         out = tmp_path / "out.csv"
         cli._write_floats(str(out), "x,y", chunks)
@@ -944,7 +934,7 @@ class TestChunkBoundaries:
         assert min(map(len, texts)) > max(sizes)
         assert own == []  # the three chunks fit the worker's window
         assert read_bytes(out) == b"x,y\n" + b"".join(texts)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     # 80 samples, 2 chunks: the step after the second chunk passes xmax
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -973,7 +963,7 @@ class TestChunkBoundaries:
         assert cli.main([command, "--n", "5", *argv, "--dx", "0.125",
                          "--xmax", "9.875", "--out", str(out)]) == 0
         assert read_bytes(out) == ("\n".join(lines) + "\n").encode()
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
 
 class TestMemory:
@@ -1532,7 +1522,7 @@ class TestFuzz:
                 signal.signal(signal.SIGALRM, handler)
             assert code in (0, cli.IO_ERROR, cli.USAGE_ERROR), argv
             assert "Traceback" not in err.getvalue(), argv
-            assert multiprocessing.active_children() == [], argv
+            assert no_child_left(), argv
             if code == cli.USAGE_ERROR:
                 assert not os.path.exists(paths["file"]), argv
 
@@ -1592,9 +1582,9 @@ class TestEntryPoint:
 class TestColdStart:
     """numpy is imported only where array math runs: by ``compare``.
 
-    ``multiprocessing`` is imported only where a float CSV has a second
-    chunk to format; the series kernel forks its worker without it.  Each
-    case runs in a fresh interpreter, since this one has both loaded.
+    ``multiprocessing`` is imported by no command: the float CSVs' workers
+    and the series kernel's fork with ``os.fork`` alone.  Each case runs
+    in a fresh interpreter, since this one has numpy loaded.
     """
 
     def run_child(self, child_env, *argvs, module="numpy"):
@@ -1624,9 +1614,9 @@ class TestColdStart:
         )
         assert loaded == "False"
 
-    def test_exact_commands_leave_multiprocessing_unloaded(
-        self, child_env, tmp_path
-    ):
+    def test_no_command_loads_multiprocessing(self, child_env, tmp_path):
+        # 6,897 and 6,896 rows: two chunks each, which the float CSVs'
+        # workers format, given two CPUs
         loaded = self.run_child(
             child_env,
             ["coeffs", "--m", "10", "--out", str(tmp_path / "c.txt")],
@@ -1636,9 +1626,16 @@ class TestColdStart:
             ["eval", "--n", "3", "--m", "6"],
             ["bench", "--mmax", "4", "--step", "2", "--reps", "1",
              "--out", str(tmp_path / "b.csv")],
+            ["integrate", "--n", "3", "--dx", "1e-3",
+             "--out", str(tmp_path / "i.csv")],
+            ["compare", "--n", "3", "--m", "10", "--dx", "1e-3",
+             "--out", str(tmp_path / "cmp.csv")],
             module="multiprocessing",
         )
         assert loaded == "False"
+        for name in ("i.csv", "cmp.csv"):
+            rows = len(read_lines(tmp_path / name)) - 1
+            assert rows > cli.CHUNK_ROWS, name
 
     def test_integrate_leaves_numpy_unloaded(self, child_env, tmp_path):
         out = tmp_path / "r.csv"

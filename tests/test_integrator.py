@@ -223,10 +223,11 @@ class TestSolveMidpoint:
 
 
 # First zeros xi_1, from mpmath's ``odefun`` (a Taylor-series ODE solver)
-# at 20 digits, started at x = 1/2 from the exact series.  At n = 3/2 and
-# 3 the values agree with LITERATURE_XI1 of test_acceptance.py to all 12
-# of its digits; the others are not yet checked against Horedt,
-# *Polytropes* (2004).
+# at 20 digits, started at x = 1/2 from the exact series; recomputed by
+# the slow test_pinned_value_recomputed (-m slow).  At n = 3/2 and 3 the
+# values agree with LITERATURE_XI1 of test_acceptance.py to all 12 of its
+# digits; the others are not yet checked against Horedt, *Polytropes*
+# (2004).
 MPMATH_XI1 = {
     0.5: 2.75269805406499,
     1.5: 3.65375373621912,
@@ -251,7 +252,42 @@ def first_zero_error(n_value, dx):
     return run.first_zero - MPMATH_XI1[n_value]
 
 
+def mpmath_first_zero(n_value):
+    """xi_1 at ``n_value``, to 15 significant digits, as :data:`MPMATH_XI1`
+    was computed: mpmath's
+    ``odefun`` at 20 digits from x = 1/2, where the exact order-40 series
+    gives F and H, then ``findroot`` on a bracket of width 0.02 about the
+    midpoint run's first zero at dx = 1e-3."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 20
+    a = evaluate_table(compute_coefficients(40), Fraction(n_value)).a_values
+    half = Fraction(1, 2)
+    F0 = sum(c * half**k for k, c in enumerate(a))
+    H0 = sum(k * c * half**(k - 1) for k, c in enumerate(a) if k)
+
+    def slope(x, y):
+        # sign(F)*|F|**n is F**n before the zero, and is real past it, so
+        # that the root finder can step there
+        power = mp.sign(y[0]) * abs(y[0]) ** n_value
+        return [y[1], -power - 2 * y[1] / x]
+
+    solution = mp.odefun(slope, mp.mpf(half.numerator) / half.denominator,
+                         [mp.mpf(F0.numerator) / F0.denominator,
+                          mp.mpf(H0.numerator) / H0.denominator])
+    guess = solve_midpoint(n_value, IntegratorConfig(dx=1e-3)).first_zero
+    xi1 = mp.findroot(lambda x: solution(x)[0], (guess - 0.01, guess + 0.01),
+                      solver="anderson")
+    return float(mp.nstr(xi1, 15))
+
+
 class TestFirstZeroOracle:
+    # About 7 s for the five: run with -m slow
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n_value", sorted(MPMATH_XI1))
+    def test_pinned_value_recomputed(self, n_value):
+        assert mpmath_first_zero(n_value) == MPMATH_XI1[n_value]
+
     @pytest.mark.parametrize("n_value", sorted(MPMATH_XI1))
     @pytest.mark.parametrize("dx", [1e-3, 5e-4])
     def test_error_within_its_constant(self, n_value, dx):

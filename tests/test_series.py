@@ -35,6 +35,7 @@ from lane_emden._kernels import (
 )
 from lane_emden.series import MAX_ORACLE_INDEX, MAX_ORDER, _power_truncated
 
+from children import no_child_left, record_forks
 from reference_series import miller_power, mul_truncated
 from reference_tables import INDEX1_A, INDEX3_A, SYMBOLIC_A
 
@@ -198,21 +199,10 @@ class TestForkedKernel:
 
     @pytest.fixture
     def forks(self, monkeypatch):
-        """The pids of the children ``os.fork`` makes in this test."""
-        pids, fork = [], os.fork
-
-        def record():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", record)
-        yield pids
-        for pid in pids:
-            # reaped already: no longer a child of this process
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
+        """The pids of the children ``os.fork`` makes in this test; none
+        is left after it, running or unreaped."""
+        yield record_forks(monkeypatch)
+        assert no_child_left()
 
     @staticmethod
     def tables(monkeypatch, m, cpus):
