@@ -30,10 +30,14 @@ the returned tables are converted to monomials.
 
 Each step's work at a node is its own, so the nodes are split between
 processes by a stride: one process takes every node in process, two take
-the even and the odd ones.  Each extends the ``c_j`` to its new nodes and
-sums its pairs there; at each step the two exchange their sums, and both
-run the difference pass.  The process that owns node ``k/2`` converts
-``c_k`` to monomials, in the step its partner spends on the new node.
+the even and the odd ones, each pinned to CPUs of its own.  Each extends
+the ``c_j`` to its new nodes and sums its pairs there.  Step ``k``'s
+difference pass runs once, in the process that owns node ``k/2``, on its
+own sums and those its partner sends; it sends the partner ``c_k`` in
+Newton form, which the partner takes at its next step, after extending
+the older ``c_j``, so that pass and that extension overlap.  The Newton
+forms are converted to monomials after the last step, half in each
+process.
 
 :func:`_fork` is the package's one way to make a worker, which the float
 CSVs' formatting workers (``cli._write_floats``) share: a forked process on
@@ -47,6 +51,7 @@ series evaluations and the brute-force oracles; the loop of
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from math import lcm
@@ -228,8 +233,10 @@ def lee_series_tables(m: int):
     integer coefficients of ``n**j`` for ``a_k`` and ``a_den[k]`` is the
     positive common denominator (and likewise for ``c``).  Odd indices are
     stored as explicit zeros.  From ``FORK_ORDER`` up, with two CPUs and
-    no other thread, the steps run on two processes (:func:`_forked_steps`);
-    should the worker die, they run again in this one.
+    no other thread, the steps run on two processes (:func:`_forked_steps`),
+    each step's difference pass in one of them and each conversion to
+    monomials, after the last step, in one; should the worker die, the
+    steps run again in this process.
     """
     steps = None
     if m >= FORK_ORDER and _fork_cpus() >= 2:
@@ -244,29 +251,34 @@ def lee_series_tables(m: int):
             nums, den = _reduce(nums, c_den[k - 2] * (k * k + k))
         a_num.append(nums)
         a_den.append(den)
-    return a_num, a_den, c_num, c_den[:m + 1]
+    return a_num, a_den, c_num, c_den
 
 
-def _steps(m: int, r: int, stride: int, swap):
+def _steps(m: int, r: int, stride: int, pipe):
     """The recurrence's steps through index ``m``, at the nodes
     ``x = r (mod stride)``.
 
     Returns ``(c_num, c_den)``: ``c_den`` lists every ``c_k``'s
     denominator, and ``c_num`` maps ``k`` to the monomial coefficients of
     each even ``c_k`` whose node ``k/2`` this process owns.  With
-    ``stride`` 2, ``swap(sums)`` hands the other process this one's sums
-    at its nodes and returns the other's.
+    ``stride`` 2, ``pipe`` is the ``(recv, send)`` pair of fds to the
+    process of the other nodes.  The owner of node ``k/2`` runs step
+    ``k``'s difference pass on both processes' sums and sends its partner
+    the Newton form and denominator of ``c_k``, which the partner takes at
+    its next step, after extending the older ``c_j`` to its new node.
     """
-    c_den = [1, 1]
+    c_den = [1] * (m + 1)  # a denominator may come a step late
     newton = {0: [1]}  # the Newton coefficients of each even C_k
-    c_num = {0: [1]} if r == 0 else {}
     # c_val[j] lists C_j(x) at this process's nodes x <= k/2 of the step
     c_val = {0: [1] if r == 0 else []}
-    for k in range(2, m + 1):
-        if k % 2:
-            c_den.append(1)
-            continue
+    held = None  # the partner's last step: (k, this process's sums, common)
 
+    def settle(k, total, common, nums, den):
+        newton[k], c_den[k] = nums, den
+        g = common * k // den
+        c_val[k] = [v // g for v in total]
+
+    for k in range(2, m + 1, 2):
         # the node k/2 is new at this step
         new = k // 2
         nodes = new + 1
@@ -274,6 +286,9 @@ def _steps(m: int, r: int, stride: int, swap):
         if own:
             for j, vals in c_val.items():
                 vals.append(_newton_horner(newton[j], new))
+            if held:
+                settle(*held, *_recv(pipe[0]))
+                c_val[k - 2].append(_newton_horner(newton[k - 2], new))
 
         # One term per pair i <= j, i + j = k - 2, weighted by the linear
         # (w0 + w1*n) / den_p that sums the bracket of l = i + 2 and, when
@@ -302,20 +317,26 @@ def _steps(m: int, r: int, stride: int, swap):
             prods = map(mul, c_val[i], c_val[j])
             total = list(map(add, total, map(mul, prods, w)))
 
+        if not own:
+            _send(pipe[1], total)
+            held = k, total, common
+            continue
+        held = None
         values = total
         if stride == 2:
             values = [0] * nodes
-            values[r::2], values[1 - r::2] = total, swap(total)
+            values[r::2], values[1 - r::2] = total, _recv(pipe[0])
         # The Newton coefficients' gcd is the monomial ones': each form is
         # an integer unitriangular transform of the other.
         nums, den = _reduce(_newton(values), common * k)
-        c_den.append(den)
-        newton[k] = nums
-        g = common * k // den
-        c_val[k] = [v // g for v in total]
-        if own:
-            c_num[k] = _monomial(nums)
+        if stride == 2:
+            _send(pipe[1], (nums, den))
+        settle(k, total, common, nums, den)
 
+    if held:
+        settle(*held, *_recv(pipe[0]))
+    c_num = {k: _monomial(nums) for k, nums in newton.items()
+             if k // 2 % stride == r}
     return c_num, c_den
 
 
@@ -323,36 +344,47 @@ def _forked_steps(m: int):
     """:func:`_steps` on two processes: this one takes the even nodes, and
     a worker (:func:`_fork`) the odd ones.
 
-    At each step the two exchange their sums, this process sending first
-    and the worker receiving first, so that no pipe size can hold them
-    both waiting; the worker sends its monomial ``c_k`` at the end.
-    Returns ``None`` where the fork fails or the worker dies.
+    At each step the process that does not own the new node sends its
+    sums and goes on to its next step; a send waits at most until the
+    other process reaches a step of its own, which needs nothing more
+    from the sender, so no pipe size can hold them both waiting.  The
+    worker sends its monomial ``c_k`` at the end.  Where this process may
+    run on two CPUs or more, the worker runs on one of them and this
+    process on the others until the worker is reaped, so that the two do
+    not share a CPU.  Returns ``None`` where the fork fails or the worker
+    dies.
     """
-    def work(recv, send):
-        def swap(sums):
-            theirs = _recv(recv)
-            _send(send, sums)
-            return theirs
+    mask = os.sched_getaffinity(0)
+    pin = len(mask) >= 2
+    cpu = max(mask)
 
-        _send(send, _steps(m, 1, 2, swap)[0])
+    def work(recv, send):
+        if pin:
+            _pin({cpu})
+        _send(send, _steps(m, 1, 2, (recv, send))[0])
 
     worker = _fork(work)
     if worker is None:
         return None
     pid, recv, send = worker
-
-    def swap(sums):
-        _send(send, sums)
-        return _recv(recv)
-
     try:
-        c_num, c_den = _steps(m, 0, 2, swap)
+        if pin:
+            _pin(mask - {cpu})
+        c_num, c_den = _steps(m, 0, 2, (recv, send))
         c_num.update(_recv(recv))
         return c_num, c_den
     except (BrokenPipeError, EOFError):
         return None  # the worker died
     finally:
+        if pin:
+            _pin(mask)
         _reap(pid, recv, send)
+
+
+def _pin(cpus) -> None:
+    """Run this process on ``cpus`` only, or, where it may not, as before."""
+    with contextlib.suppress(OSError):
+        os.sched_setaffinity(0, cpus)
 
 
 def midpoint_steps(n: float, dx: float, xmax: float, xs, Fs, Hs,

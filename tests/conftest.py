@@ -15,6 +15,18 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
+# The CPUs this process may run on, read before any test module is imported:
+# a module may build a two-process table as it is imported.
+START_AFFINITY = (
+    os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+)
+
+
+@pytest.fixture
+def start_affinity():
+    """The CPUs this process could run on when the test run began."""
+    return START_AFFINITY
+
 
 @pytest.fixture
 def child_env():

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import math
 import os
 import signal
@@ -194,22 +195,26 @@ class TestForkedKernel:
 
     From ``FORK_ORDER`` up, with two usable CPUs and no other thread, a
     worker is forked for the odd nodes; the usable CPU count is forced,
-    except under the real affinity.  No worker outlives its call.
+    except under the real affinity.  Where the real affinity holds two
+    CPUs or more, the worker runs on one and this process on the others.
+    No worker outlives its call, and this process's affinity is restored.
     """
 
     @pytest.fixture
-    def forks(self, monkeypatch):
+    def forks(self, monkeypatch, start_affinity):
         """The pids of the children ``os.fork`` makes in this test; none
-        is left after it, running or unreaped."""
+        is left after it, running or unreaped, and this process may run on
+        the CPUs it could when the test run began."""
         yield record_forks(monkeypatch)
         assert no_child_left()
+        assert os.sched_getaffinity(0) == start_affinity
 
     @staticmethod
     def tables(monkeypatch, m, cpus):
         monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
         return lee_series_tables(m)
 
-    @pytest.mark.parametrize("m", [FORK_ORDER, 140, 200])
+    @pytest.mark.parametrize("m", [FORK_ORDER, 101, 140, 200])
     def test_forked_tables_are_the_in_process_ones(
         self, monkeypatch, forks, m
     ):
@@ -222,10 +227,88 @@ class TestForkedKernel:
             got = IndexPolynomial.from_integers(a_num[k], a_den[k])
             assert got == parse_expression(text), k
 
+    @pytest.mark.parametrize("m", [FORK_ORDER, 140])
+    def test_one_page_pipes_hold_no_send(self, monkeypatch, forks, m):
+        # Sums and Newton forms of these orders are larger than a page, so
+        # a send fills the pipe and waits for the other process's receive.
+        import fcntl
+
+        pipe, sizes = os.pipe, []
+
+        def one_page():
+            fds = pipe()
+            sizes.append(fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096))
+            return fds
+
+        monkeypatch.setattr(os, "pipe", one_page)
+        with deadline(60):
+            forked = self.tables(monkeypatch, m, 2)
+        assert len(forks) == 1
+        assert sizes == [4096, 4096]
+        monkeypatch.setattr(os, "pipe", pipe)
+        assert forked == self.tables(monkeypatch, m, 1)
+
     def test_real_affinity(self, monkeypatch, forks):
         # forks under taskset -c 0,1, and not under taskset -c 0
         tables = lee_series_tables(FORK_ORDER)
         assert len(forks) == (len(os.sched_getaffinity(0)) >= 2)
+        assert tables == self.tables(monkeypatch, FORK_ORDER, 1)
+
+    def test_worker_runs_on_a_cpu_of_its_own(
+        self, monkeypatch, forks, tmp_path
+    ):
+        mask, steps = os.sched_getaffinity(0), _kernels._steps
+
+        def record(m, r, stride, pipe):
+            cpus = os.sched_getaffinity(0)
+            (tmp_path / str(r)).write_text(" ".join(map(str, sorted(cpus))))
+            return steps(m, r, stride, pipe)
+
+        monkeypatch.setattr(_kernels, "_steps", record)
+        self.tables(monkeypatch, FORK_ORDER, 2)
+        assert len(forks) == 1
+        caller, worker = (
+            set(map(int, (tmp_path / r).read_text().split())) for r in "01"
+        )
+        if len(mask) >= 2:
+            assert len(worker) == 1
+            assert worker.isdisjoint(caller)
+            assert worker | caller == mask
+        else:  # nowhere to move: both run where this process may
+            assert worker == caller == mask
+
+    def test_affinity_error_runs_unpinned(self, monkeypatch, forks):
+        calls = []
+
+        def refuse(pid, cpus):
+            calls.append(cpus)
+            raise OSError(errno.EINVAL, "refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        tables = self.tables(monkeypatch, FORK_ORDER, 2)
+        assert len(forks) == 1
+        # this process tried to move, and then to move back
+        assert len(calls) == (2 if len(os.sched_getaffinity(0)) >= 2 else 0)
+        assert tables == self.tables(monkeypatch, FORK_ORDER, 1)
+
+    def test_one_cpu_mask_pins_nothing(self, monkeypatch, forks, tmp_path):
+        mask, setaffinity = os.sched_getaffinity(0), os.sched_setaffinity
+        log = tmp_path / "calls"
+
+        def record(pid, cpus):
+            # a file, so that the worker's calls are seen too
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
+            return setaffinity(pid, cpus)
+
+        setaffinity(0, {min(mask)})
+        try:
+            monkeypatch.setattr(os, "sched_setaffinity", record)
+            tables = self.tables(monkeypatch, FORK_ORDER, 2)
+        finally:
+            setaffinity(0, mask)
+        assert len(forks) == 1
+        assert not log.exists()
         assert tables == self.tables(monkeypatch, FORK_ORDER, 1)
 
     def test_one_cpu_forks_nothing(self, monkeypatch, forks):
@@ -257,14 +340,16 @@ class TestForkedKernel:
     def test_error_in_this_process_reaps_the_worker(
         self, monkeypatch, forks
     ):
-        parent, monomial = os.getpid(), _kernels._monomial
+        # _newton runs only in the process that owns a step's new node,
+        # in the loop, while the worker runs its own steps
+        parent, newton = os.getpid(), _kernels._newton
 
-        def fail(newton):
-            if os.getpid() == parent and len(newton) > 20:
+        def fail(values):
+            if os.getpid() == parent and len(values) > 20:
                 raise LookupError("mid-run")
-            return monomial(newton)
+            return newton(values)
 
-        monkeypatch.setattr(_kernels, "_monomial", fail)
+        monkeypatch.setattr(_kernels, "_newton", fail)
         with deadline(60), pytest.raises(LookupError, match="mid-run"):
             self.tables(monkeypatch, FORK_ORDER, 2)
         assert len(forks) == 1
@@ -280,10 +365,10 @@ class TestForkedKernel:
                 os.kill(os.getpid(), signal.SIGKILL)
             return horner(newton, x)
 
-        def record(m, r, stride, swap):
+        def record(m, r, stride, pipe):
             if os.getpid() == parent:
                 runs.append(stride)
-            return steps(m, r, stride, swap)
+            return steps(m, r, stride, pipe)
 
         monkeypatch.setattr(_kernels, "_newton_horner", die)
         monkeypatch.setattr(_kernels, "_steps", record)
